@@ -1,27 +1,28 @@
 package bench
 
 import (
+	"path/filepath"
 	"testing"
 
-	"hsmcc/internal/interp"
+	"hsmcc/internal/golden"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/rcce"
 	"hsmcc/internal/synth"
 )
 
-// The compiled engine's landing invariant: byte-identical program output
-// AND identical simulated-time/cycle statistics versus the tree-walk
-// reference engine, over the whole workload corpus, on both the Pthread
-// baseline and the translated RCCE pipeline. Only host-side work may
-// differ between engines; the virtual-clock model must not.
+// The engine-equivalence tests pin the simulated results of the corpus
+// to committed digests (testdata/<test>.digests): output, makespan,
+// context switches and every cycle counter of each run. The digests
+// were recorded while the compiled engine and the tree-walk reference
+// both produced them, so the tests keep the reference semantics after
+// the reference itself is gone. Any change to simulated behaviour — in
+// the interpreter, the runtimes or the machine model — fails them;
+// regenerate with -update only when a change is meant to alter results
+// (docs/TESTING.md).
 
-// withEngine runs f with the session default engine forced to e.
-func withEngine(t *testing.T, e interp.Engine, f func()) {
-	t.Helper()
-	old := interp.DefaultEngine
-	interp.DefaultEngine = e
-	defer func() { interp.DefaultEngine = old }()
-	f()
+// goldenSet opens the digest file of the named test.
+func goldenSet(test string) *golden.Set {
+	return golden.NewSet(filepath.Join("testdata", test+".digests"))
 }
 
 // equivConfig is a reduced-size configuration that still touches every
@@ -33,66 +34,42 @@ func equivConfig() Config {
 	return cfg
 }
 
-func requireEqualRuns(t *testing.T, what string, compiled, reference *RunResult) {
+// addRuns records w's Pthread baseline and its translated runs under an
+// off-chip-only and an on-chip placement policy.
+func addRuns(t *testing.T, set *golden.Set, prefix string, w Workload, cfg Config) {
 	t.Helper()
-	if compiled.Output != reference.Output {
-		t.Errorf("%s: output diverged between engines\n--- compiled\n%s\n--- tree-walk\n%s",
-			what, compiled.Output, reference.Output)
+	base, err := RunBaseline(w, cfg)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
 	}
-	if compiled.Makespan != reference.Makespan {
-		t.Errorf("%s: makespan %d ps (compiled) != %d ps (tree-walk)",
-			what, compiled.Makespan, reference.Makespan)
-	}
-	if compiled.Stats != reference.Stats {
-		t.Errorf("%s: cycle statistics diverged\ncompiled:  %+v\ntree-walk: %+v",
-			what, compiled.Stats, reference.Stats)
+	set.Add(prefix+"/baseline", base.Digest())
+	for _, pol := range []partition.Policy{partition.PolicyOffChipOnly, partition.PolicySizeAscending} {
+		res, err := RunRCCE(w, cfg, pol)
+		if err != nil {
+			t.Fatalf("rcce %v: %v", pol, err)
+		}
+		set.Add(prefix+"/"+pol.String(), res.Digest())
 	}
 }
 
-// TestEngineEquivalenceCorpus pins compiled-vs-reference equality over
-// the full 10-workload corpus, for the single-core Pthread baseline and
-// for the translate→RCCE→sccsim pipeline under both an off-chip-only and
-// an on-chip placement policy.
+// TestEngineEquivalenceCorpus pins the full 10-workload corpus, for the
+// single-core Pthread baseline and for the translate→RCCE→sccsim
+// pipeline under both an off-chip-only and an on-chip placement policy.
 func TestEngineEquivalenceCorpus(t *testing.T) {
+	set := goldenSet("TestEngineEquivalenceCorpus")
 	cfg := equivConfig()
 	for _, w := range All() {
-		w := w
-		t.Run(w.Key, func(t *testing.T) {
-			var cBase, rBase *RunResult
-			var err error
-			withEngine(t, interp.EngineCompiled, func() { cBase, err = RunBaseline(w, cfg) })
-			if err != nil {
-				t.Fatalf("compiled baseline: %v", err)
-			}
-			withEngine(t, interp.EngineTreeWalk, func() { rBase, err = RunBaseline(w, cfg) })
-			if err != nil {
-				t.Fatalf("tree-walk baseline: %v", err)
-			}
-			requireEqualRuns(t, "baseline", cBase, rBase)
-
-			for _, pol := range []partition.Policy{partition.PolicyOffChipOnly, partition.PolicySizeAscending} {
-				var cRCCE, rRCCE *RunResult
-				withEngine(t, interp.EngineCompiled, func() { cRCCE, err = RunRCCE(w, cfg, pol) })
-				if err != nil {
-					t.Fatalf("compiled rcce %v: %v", pol, err)
-				}
-				withEngine(t, interp.EngineTreeWalk, func() { rRCCE, err = RunRCCE(w, cfg, pol) })
-				if err != nil {
-					t.Fatalf("tree-walk rcce %v: %v", pol, err)
-				}
-				requireEqualRuns(t, "rcce/"+string(rune('0'+int(pol))), cRCCE, rRCCE)
-			}
-		})
+		t.Run(w.Key, func(t *testing.T) { addRuns(t, set, w.Key, w, cfg) })
 	}
+	set.Verify(t)
 }
 
-// TestEngineEquivalenceSynth extends the engine-parity invariant from
-// the hand-written corpus to the synthetic plane: a seeded sample of
-// parameter vectors (plus mix extremes) must run byte-identical in
-// output and cycle statistics under both engines, on the baseline and
-// on the translated pipeline under both an off-chip and an on-chip
-// policy.
+// TestEngineEquivalenceSynth extends the pin from the hand-written
+// corpus to the synthetic plane: a seeded sample of parameter vectors
+// (plus mix extremes), on the baseline and on the translated pipeline
+// under both an off-chip and an on-chip policy.
 func TestEngineEquivalenceSynth(t *testing.T) {
+	set := goldenSet("TestEngineEquivalenceSynth")
 	cfg := equivConfig()
 	cfg.Scale = 1.0 // synth vectors below are already test-sized
 	vectors := []synth.Params{
@@ -103,40 +80,14 @@ func TestEngineEquivalenceSynth(t *testing.T) {
 		vectors = append(vectors, synth.ParamsForSeed(seed))
 	}
 	for _, p := range vectors {
-		p := p
-		t.Run(p.Key(), func(t *testing.T) {
-			w := SynthWorkload(p)
-			var cBase, rBase *RunResult
-			var err error
-			withEngine(t, interp.EngineCompiled, func() { cBase, err = RunBaseline(w, cfg) })
-			if err != nil {
-				t.Fatalf("compiled baseline: %v", err)
-			}
-			withEngine(t, interp.EngineTreeWalk, func() { rBase, err = RunBaseline(w, cfg) })
-			if err != nil {
-				t.Fatalf("tree-walk baseline: %v", err)
-			}
-			requireEqualRuns(t, "baseline", cBase, rBase)
-
-			for _, pol := range []partition.Policy{partition.PolicyOffChipOnly, partition.PolicySizeAscending} {
-				var cRCCE, rRCCE *RunResult
-				withEngine(t, interp.EngineCompiled, func() { cRCCE, err = RunRCCE(w, cfg, pol) })
-				if err != nil {
-					t.Fatalf("compiled rcce %v: %v", pol, err)
-				}
-				withEngine(t, interp.EngineTreeWalk, func() { rRCCE, err = RunRCCE(w, cfg, pol) })
-				if err != nil {
-					t.Fatalf("tree-walk rcce %v: %v", pol, err)
-				}
-				requireEqualRuns(t, "rcce", cRCCE, rRCCE)
-			}
-		})
+		t.Run(p.Key(), func(t *testing.T) { addRuns(t, set, p.Key(), SynthWorkload(p), cfg) })
 	}
+	set.Verify(t)
 }
 
 // TestEngineEquivalenceOversubscribed covers the §7.2 many-to-one
 // scheduler (more UEs than cores), which exercises the manyToOne policy
-// and context-switch charges under the direct-handoff scheduler.
+// and its context-switch charges.
 func TestEngineEquivalenceOversubscribed(t *testing.T) {
 	w, ok := ByKey("pi")
 	if !ok {
@@ -150,15 +101,11 @@ func TestEngineEquivalenceOversubscribed(t *testing.T) {
 		o.AllowOversubscribe = true
 		return o
 	}
-	var compiled, reference *RunResult
-	var err error
-	withEngine(t, interp.EngineCompiled, func() { compiled, err = RunRCCE(w, cfg, partition.PolicyOffChipOnly) })
+	res, err := RunRCCE(w, cfg, partition.PolicyOffChipOnly)
 	if err != nil {
-		t.Fatalf("compiled: %v", err)
+		t.Fatal(err)
 	}
-	withEngine(t, interp.EngineTreeWalk, func() { reference, err = RunRCCE(w, cfg, partition.PolicyOffChipOnly) })
-	if err != nil {
-		t.Fatalf("tree-walk: %v", err)
-	}
-	requireEqualRuns(t, "oversubscribed", compiled, reference)
+	set := goldenSet("TestEngineEquivalenceOversubscribed")
+	set.Add("pi/offchip", res.Digest())
+	set.Verify(t)
 }

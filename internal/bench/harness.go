@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,6 +24,8 @@ type RunResult struct {
 	Makespan sccsim.Time
 	Output   string
 	Stats    sccsim.CoreStats
+	// Switches counts context switches (Pthread baseline only).
+	Switches uint64
 	// TranslatedSource is the RCCE C program (RCCE modes only).
 	TranslatedSource string
 	// OnChipBytes is what Stage 4 placed in the MPB (RCCE modes only).
@@ -32,6 +37,18 @@ type RunResult struct {
 
 // Seconds converts the makespan.
 func (r *RunResult) Seconds() float64 { return float64(r.Makespan) / sccsim.PsPerSecond }
+
+// Digest fingerprints the run's simulated results as a hex sha256 over
+// the output, the makespan, the context switches and every field of the
+// cycle statistics. Golden tests pin it: any change to simulated
+// behaviour changes the digest.
+func (r *RunResult) Digest() string {
+	h := sha256.New()
+	binary.Write(h, binary.LittleEndian, [2]uint64{r.Makespan, r.Switches})
+	binary.Write(h, binary.LittleEndian, r.Stats)
+	h.Write([]byte(r.Output))
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // Config parameterises harness runs.
 type Config struct {
@@ -227,6 +244,7 @@ func RunBaselineProgram(w Workload, pr *interp.Program, cfg Config) (*RunResult,
 		Makespan: res.Makespan,
 		Output:   res.Output,
 		Stats:    res.Stats,
+		Switches: res.Switches,
 	}, nil
 }
 

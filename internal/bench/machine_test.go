@@ -109,37 +109,26 @@ func TestGridMachinePreset(t *testing.T) {
 
 // TestMesh1024ThousandContexts runs a corpus workload with 1024 thread
 // contexts time-sharing a mesh1024 machine — the scaling point the
-// resume-path work targets — and pins the engine-equivalence oracle
-// there: the compiled coroutine engine must produce byte-identical
-// output and an identical cycle count to the treewalk reference.
+// resume-path work targets — and pins its output, switches and cycle
+// statistics with a committed digest.
 func TestMesh1024ThousandContexts(t *testing.T) {
 	w, ok := ByKey("hist")
 	if !ok {
 		t.Fatal("histogram workload missing")
 	}
-	run := func(engine interp.Engine) *RunResult {
-		cfg := configFor(t, "mesh1024")
-		cfg.Threads = 1024
-		cfg.Scale = 0.05
-		cfg.Engine = engine
-		res, err := RunBaseline(w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg := configFor(t, "mesh1024")
+	cfg.Threads = 1024
+	cfg.Scale = 0.05
+	res, err := RunBaseline(w, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast := run(interp.EngineCompiled)
-	ref := run(interp.EngineTreeWalk)
-	if fast.Output == "" {
+	if res.Output == "" {
 		t.Fatal("1024-context run produced no output")
 	}
-	if fast.Output != ref.Output {
-		t.Errorf("engine output diverges at 1024 contexts")
-	}
-	if fast.Makespan != ref.Makespan {
-		t.Errorf("cycle stats diverge at 1024 contexts: compiled %d ps, treewalk %d ps",
-			fast.Makespan, ref.Makespan)
-	}
+	set := goldenSet("TestMesh1024ThousandContexts")
+	set.Add("hist/baseline", res.Digest())
+	set.Verify(t)
 }
 
 // TestGridRejectsOversizedCores pins Validate: a core count beyond the

@@ -2,7 +2,9 @@ package conformance
 
 import (
 	"flag"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/parser"
 	"hsmcc/internal/cc/printer"
+	"hsmcc/internal/golden"
 )
 
 // Explicit seeds everywhere: the suite's generator seed is a flag, so a
@@ -45,6 +48,29 @@ func TestConformanceSuite(t *testing.T) {
 	if len(rep.Failures) != 0 {
 		t.Fatalf("%d of %d kernels diverged", len(rep.Failures), rep.Kernels)
 	}
+	verifyDigests(t, "TestConformanceSuite", rep.Digests, *flagSeed == 1 && n == 220)
+}
+
+// goldenSet opens the digest file of the named test.
+func goldenSet(test string) *golden.Set {
+	return golden.NewSet(filepath.Join("testdata", test+".digests"))
+}
+
+// verifyDigests pins every kernel's matrix digest (output, makespan,
+// switches and cycle statistics of each run) against the committed
+// golden file. The file covers the default seed range only, so a run
+// with non-default -conformance flags skips the comparison.
+func verifyDigests(t *testing.T, test string, digests map[int64]string, defaults bool) {
+	t.Helper()
+	if !defaults {
+		t.Logf("non-default seed range: skipping the golden digests of %s", test)
+		return
+	}
+	set := goldenSet(test)
+	for seed, d := range digests {
+		set.Add(fmt.Sprintf("seed%d", seed), d)
+	}
+	set.Verify(t)
 }
 
 // TestConformanceRegressionSeeds replays the persisted seed corpus:

@@ -1,147 +1,69 @@
 package conformance
 
 import (
+	"fmt"
 	"testing"
 
 	"hsmcc/internal/bench"
-	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/synth"
 )
 
-// TestEngineEquivalenceKernels extends the compiled-engine golden
-// invariant to generated conformance kernels: for a sample of seeds
-// (including thread-specific solo tasks, serial rounds and mutexes),
-// the compiled engine and the tree-walk reference must produce
-// byte-identical output and identical cycle statistics on both the
-// Pthread baseline and the translated RCCE pipeline.
+// The engine-equivalence tests pin generated kernels outside the suite
+// seed range to committed digests (testdata/<test>.digests): output,
+// makespan, switches and cycle statistics of the Pthread baseline and of
+// the translated RCCE pipeline. The digests were recorded while the
+// compiled engine and the tree-walk reference both produced them.
+
+// addKernelRuns records w's baseline and size-policy RCCE runs.
+func addKernelRuns(t *testing.T, add func(name, digest string), name string, w bench.Workload, cfg bench.Config) {
+	t.Helper()
+	base, err := bench.RunBaseline(w, cfg)
+	if err != nil {
+		t.Fatalf("%s baseline: %v", name, err)
+	}
+	conv, err := bench.RunRCCE(w, cfg, partition.PolicySizeAscending)
+	if err != nil {
+		t.Fatalf("%s rcce: %v", name, err)
+	}
+	add(name+"/baseline", base.Digest())
+	add(name+"/rcce", conv.Digest())
+}
+
+// TestEngineEquivalenceKernels covers a sample of generated kernels
+// (including thread-specific solo tasks, serial rounds and mutexes).
 func TestEngineEquivalenceKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs dozens of simulated kernels")
 	}
 	const kernels = 24
 	const cores = 4
-	runBoth := func(e interp.Engine, w bench.Workload, cfg bench.Config) (*bench.RunResult, *bench.RunResult, error) {
-		old := interp.DefaultEngine
-		interp.DefaultEngine = e
-		defer func() { interp.DefaultEngine = old }()
-		base, err := bench.RunBaseline(w, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		conv, err := bench.RunRCCE(w, cfg, partition.PolicySizeAscending)
-		if err != nil {
-			return nil, nil, err
-		}
-		return base, conv, nil
-	}
+	set := goldenSet("TestEngineEquivalenceKernels")
 	for seed := int64(5000); seed < 5000+kernels; seed++ {
-		spec := SpecForSeed(seed, DefaultGenOptions())
-		src := spec.Source(cores)
-		w := kernelWorkload(seed, src)
+		src := SpecForSeed(seed, DefaultGenOptions()).Source(cores)
 		cfg := bench.DefaultConfig()
 		cfg.Threads = cores
-		cBase, cConv, err := runBoth(interp.EngineCompiled, w, cfg)
-		if err != nil {
-			t.Fatalf("seed %d compiled: %v\n%s", seed, err, src)
-		}
-		rBase, rConv, err := runBoth(interp.EngineTreeWalk, w, cfg)
-		if err != nil {
-			t.Fatalf("seed %d tree-walk: %v\n%s", seed, err, src)
-		}
-		for _, pair := range []struct {
-			what string
-			c, r *bench.RunResult
-		}{{"baseline", cBase, rBase}, {"rcce", cConv, rConv}} {
-			if pair.c.Output != pair.r.Output {
-				t.Errorf("seed %d %s: output diverged\n--- compiled\n%s\n--- tree-walk\n%s",
-					seed, pair.what, pair.c.Output, pair.r.Output)
-			}
-			if pair.c.Makespan != pair.r.Makespan || pair.c.Stats != pair.r.Stats {
-				t.Errorf("seed %d %s: cycle statistics diverged (makespan %d vs %d)",
-					seed, pair.what, pair.c.Makespan, pair.r.Makespan)
-			}
-		}
+		addKernelRuns(t, set.Add, fmt.Sprintf("seed%d", seed), kernelWorkload(seed, src), cfg)
 	}
+	set.Verify(t)
 }
 
-// TestEngineEquivalenceSynthKernels applies the same compiled-vs-
-// tree-walk golden invariant to seed-derived synthetic vectors, so the
-// coroutine lowering is pinned on the memory-behaviour plane (tunable
-// mix, sharing degree, footprint) and not only on the kernel grammar.
+// TestEngineEquivalenceSynthKernels applies the same pin to
+// seed-derived synthetic vectors, so the memory-behaviour plane (mix,
+// sharing degree, footprint) is covered and not only the kernel grammar.
 func TestEngineEquivalenceSynthKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a sample of simulated synthetic kernels")
 	}
 	const kernels = 8
 	const cores = 4
-	runBoth := func(e interp.Engine, w bench.Workload, cfg bench.Config) (*bench.RunResult, *bench.RunResult, error) {
-		old := interp.DefaultEngine
-		interp.DefaultEngine = e
-		defer func() { interp.DefaultEngine = old }()
-		base, err := bench.RunBaseline(w, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		conv, err := bench.RunRCCE(w, cfg, partition.PolicySizeAscending)
-		if err != nil {
-			return nil, nil, err
-		}
-		return base, conv, nil
-	}
+	set := goldenSet("TestEngineEquivalenceSynthKernels")
 	for seed := int64(6000); seed < 6000+kernels; seed++ {
 		p := synth.ParamsForSeed(seed)
-		w := bench.SynthWorkload(p)
 		cfg := bench.DefaultConfig()
 		cfg.Threads = cores
 		cfg.Scale = 1.0
-		cBase, cConv, err := runBoth(interp.EngineCompiled, w, cfg)
-		if err != nil {
-			t.Fatalf("%s compiled: %v", p.Key(), err)
-		}
-		rBase, rConv, err := runBoth(interp.EngineTreeWalk, w, cfg)
-		if err != nil {
-			t.Fatalf("%s tree-walk: %v", p.Key(), err)
-		}
-		for _, pair := range []struct {
-			what string
-			c, r *bench.RunResult
-		}{{"baseline", cBase, rBase}, {"rcce", cConv, rConv}} {
-			if pair.c.Output != pair.r.Output {
-				t.Errorf("%s %s: output diverged\n--- compiled\n%s\n--- tree-walk\n%s",
-					p.Key(), pair.what, pair.c.Output, pair.r.Output)
-			}
-			if pair.c.Makespan != pair.r.Makespan || pair.c.Stats != pair.r.Stats {
-				t.Errorf("%s %s: cycle statistics diverged (makespan %d vs %d)",
-					p.Key(), pair.what, pair.c.Makespan, pair.r.Makespan)
-			}
-		}
+		addKernelRuns(t, set.Add, p.Key(), bench.SynthWorkload(p), cfg)
 	}
-}
-
-// TestGeneratorEmitsSoloTasks pins the thread-specific-launch extension:
-// across a seed range, some kernels must contain solo (`if (me == k)`)
-// tasks, and their emitted source must carry the guard.
-func TestGeneratorEmitsSoloTasks(t *testing.T) {
-	found := 0
-	for seed := int64(0); seed < 80; seed++ {
-		spec := SpecForSeed(seed, DefaultGenOptions())
-		for _, rd := range spec.Rounds {
-			if rd.Solo == nil {
-				continue
-			}
-			found++
-			// The solo target must not be a loop target of its round
-			// (race-freedom by construction).
-			for _, st := range rd.Loop {
-				if st.Arr == rd.Solo.Arr {
-					t.Fatalf("seed %d: solo targets array %d which the round's loop also writes", seed, rd.Solo.Arr)
-				}
-			}
-		}
-	}
-	if found == 0 {
-		t.Fatal("no generated kernel contained a thread-specific solo task across 80 seeds")
-	}
-	t.Logf("%d solo tasks across 80 seeds", found)
+	set.Verify(t)
 }

@@ -1,7 +1,10 @@
 package conformance
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -295,14 +298,16 @@ func (e *Engine) CheckSource(seed int64, src string, cores int, policy string, b
 // baseline source and each distinct translated source compile exactly
 // once for the whole matrix instead of once per cell.
 func (e *Engine) Check(spec *Spec) *Divergence {
-	return e.checkMatrix(spec.Seed, spec.Source)
+	return e.checkMatrix(spec.Seed, spec.Source, nil)
 }
 
 // checkMatrix is the matrix loop shared by the spec oracle (Check) and
 // the synthetic-vector oracle (CheckSynth): srcFor emits the kernel for
 // a UE count, and the sweep walks every (cores, oversub, policy,
-// budget) cell.
-func (e *Engine) checkMatrix(seed int64, srcFor func(ues int) string) *Divergence {
+// budget) cell. When sum is non-nil, every run's result digest is
+// written to it in sweep order, so one kernel's matrix folds into one
+// golden digest without a second pass.
+func (e *Engine) checkMatrix(seed int64, srcFor func(ues int) string, sum hash.Hash) *Divergence {
 	cache := bench.NewCache()
 	for _, cores := range e.Matrix.Cores {
 		for _, factor := range e.Matrix.factors() {
@@ -314,6 +319,9 @@ func (e *Engine) checkMatrix(seed int64, srcFor func(ues int) string) *Divergenc
 				return &Divergence{Seed: seed, Cores: cores, Oversub: factor,
 					Policy: e.Matrix.Policies[0], Budget: e.Matrix.Budgets[0],
 					Source: src, Err: "baseline: " + err.Error()}
+			}
+			if sum != nil {
+				fmt.Fprintln(sum, base.Digest())
 			}
 			for _, policy := range e.Matrix.Policies {
 				pol, err := bench.ParsePolicy(policy)
@@ -328,6 +336,9 @@ func (e *Engine) checkMatrix(seed int64, srcFor func(ues int) string) *Divergenc
 					if err != nil {
 						div.Err = err.Error()
 						return div
+					}
+					if sum != nil {
+						fmt.Fprintln(sum, conv.Digest())
 					}
 					if !bench.SameResults(base.Output, conv.Output) {
 						div.BaseOut = base.Output
@@ -365,6 +376,16 @@ type Report struct {
 	BaseSeed int64
 	Kernels  int
 	Failures []*Failure
+	// Digests maps each checked kernel's seed to the sha256 of its
+	// matrix's run digests (see checkMatrix).
+	Digests map[int64]string
+}
+
+// checkDigest is checkMatrix with the kernel's matrix digest.
+func (e *Engine) checkDigest(seed int64, srcFor func(ues int) string) (*Divergence, string) {
+	h := sha256.New()
+	div := e.checkMatrix(seed, srcFor, h)
+	return div, hex.EncodeToString(h.Sum(nil))
 }
 
 // Run generates and checks n kernels with seeds base..base+n-1 across a
@@ -374,7 +395,7 @@ func (e *Engine) Run(base int64, n, parallel int, logf func(format string, args 
 	if parallel < 1 {
 		parallel = 1
 	}
-	rep := &Report{BaseSeed: base, Kernels: n}
+	rep := &Report{BaseSeed: base, Kernels: n, Digests: make(map[int64]string, n)}
 	var mu sync.Mutex
 	jobs := make(chan int64)
 	var wg sync.WaitGroup
@@ -384,7 +405,10 @@ func (e *Engine) Run(base int64, n, parallel int, logf func(format string, args 
 			defer wg.Done()
 			for seed := range jobs {
 				spec := SpecForSeed(seed, e.Gen)
-				div := e.Check(spec)
+				div, digest := e.checkDigest(seed, spec.Source)
+				mu.Lock()
+				rep.Digests[seed] = digest
+				mu.Unlock()
 				if div == nil {
 					continue
 				}

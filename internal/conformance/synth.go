@@ -21,7 +21,7 @@ import (
 // returns the first divergence (marked as synthetic, carrying the
 // vector's canonical key) or nil.
 func (e *Engine) CheckSynth(p synth.Params) *Divergence {
-	return e.markSynth(p, e.checkMatrix(p.Seed, p.Source))
+	return e.markSynth(p, e.checkMatrix(p.Seed, p.Source, nil))
 }
 
 // CheckSynthCell checks the vector at one matrix cell.
@@ -62,6 +62,9 @@ type SynthReport struct {
 	BaseSeed int64
 	Kernels  int
 	Failures []*SynthFailure
+	// Digests maps each checked vector's seed to its matrix digest, as
+	// Report.Digests does.
+	Digests map[int64]string
 }
 
 // RunSynth checks n seed-derived vectors (seeds base..base+n-1) across
@@ -72,7 +75,7 @@ func (e *Engine) RunSynth(base int64, n, parallel int, logf func(format string, 
 	if parallel < 1 {
 		parallel = 1
 	}
-	rep := &SynthReport{BaseSeed: base, Kernels: n}
+	rep := &SynthReport{BaseSeed: base, Kernels: n, Digests: make(map[int64]string, n)}
 	var mu sync.Mutex
 	jobs := make(chan int64)
 	var wg sync.WaitGroup
@@ -82,7 +85,11 @@ func (e *Engine) RunSynth(base int64, n, parallel int, logf func(format string, 
 			defer wg.Done()
 			for seed := range jobs {
 				p := synth.ParamsForSeed(seed)
-				div := e.CheckSynth(p)
+				div, digest := e.checkDigest(p.Seed, p.Source)
+				div = e.markSynth(p, div)
+				mu.Lock()
+				rep.Digests[seed] = digest
+				mu.Unlock()
 				if div == nil {
 					continue
 				}

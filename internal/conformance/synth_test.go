@@ -26,6 +26,7 @@ func TestSynthConformanceSuite(t *testing.T) {
 	if len(rep.Failures) != 0 {
 		t.Fatalf("%d of %d synthetic kernels diverged", len(rep.Failures), rep.Kernels)
 	}
+	verifyDigests(t, "TestSynthConformanceSuite", rep.Digests, *flagSynthN == 120)
 }
 
 // TestSynthDivergenceReproLine pins the repro contract: a synthetic

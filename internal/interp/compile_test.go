@@ -173,4 +173,6 @@ int main() { printf("%d %d\n", fib(17), fact(10)); return 0; }`
 	if a.Output() != "1597 3628800\n" {
 		t.Fatalf("wrong answer: %q", a.Output())
 	}
+	verifySim(t, "TestRecursionEngineParity", a)
+	verifySim(t, "TestRecursionEngineParity", b)
 }

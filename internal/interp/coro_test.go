@@ -61,6 +61,8 @@ func TestCoroutineModeEngaged(t *testing.T) {
 	if sim.Makespan() != ref.Makespan() {
 		t.Errorf("engine makespans differ: %d vs %d", sim.Makespan(), ref.Makespan())
 	}
+	verifySim(t, "TestCoroutineModeEngaged", sim)
+	verifySim(t, "TestCoroutineModeEngaged", ref)
 }
 
 // TestCoroutineFallOffEndReturn pins the return-cell arena against the
@@ -107,6 +109,8 @@ int worker(int me) {
 	if coro.Output() != ref.Output() {
 		t.Errorf("fall-off-the-end return diverged:\ncoroutine:\n%s\ntree-walk:\n%s", coro.Output(), ref.Output())
 	}
+	verifySim(t, "TestCoroutineFallOffEndReturn", coro)
+	verifySim(t, "TestCoroutineFallOffEndReturn", ref)
 }
 
 // TestSchedulerParityHeapVsLinearCoroutine pins the min-clock heap

@@ -3,20 +3,19 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"hsmcc/internal/golden"
 	"hsmcc/internal/interp"
 	"hsmcc/internal/pthreadrt"
 	"hsmcc/internal/rcce"
 	"hsmcc/internal/sccsim"
 	"hsmcc/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite golden trace files")
 
 // rcceProgram exercises every RCCE-side event source: lock contention
 // (spin rounds + mutex-flavoured waits), a barrier, MPB traffic
@@ -97,10 +96,9 @@ func compile(t *testing.T, src string) *interp.Program {
 	return pr
 }
 
-func runRCCE(t *testing.T, src string, ues int, engine interp.Engine, rec *trace.Recorder) *rcce.Result {
+func runRCCE(t *testing.T, src string, ues int, rec *trace.Recorder) *rcce.Result {
 	t.Helper()
 	opts := rcce.DefaultOptions(ues)
-	opts.Engine = engine
 	if rec != nil { // a typed-nil sink would defeat the hooks' nil checks
 		opts.Trace = rec
 	}
@@ -111,10 +109,9 @@ func runRCCE(t *testing.T, src string, ues int, engine interp.Engine, rec *trace
 	return res
 }
 
-func runPthread(t *testing.T, src string, engine interp.Engine, rec *trace.Recorder) *pthreadrt.Result {
+func runPthread(t *testing.T, src string, rec *trace.Recorder) *pthreadrt.Result {
 	t.Helper()
 	opts := pthreadrt.DefaultOptions()
-	opts.Engine = engine
 	if rec != nil {
 		opts.Trace = rec
 	}
@@ -134,62 +131,54 @@ func exportJSON(t *testing.T, rec *trace.Recorder) []byte {
 	return append(b, '\n')
 }
 
-// TestCrossEngineByteIdentity is the tentpole invariant: the tree-walk
-// and coroutine engines must produce byte-identical trace exports (and
-// identical simulation results) for the same program, because every
-// hook sits on an engine-shared code path.
+// resultDigest fingerprints a run's simulated results: output,
+// makespan, context switches and every cycle counter.
+func resultDigest(output string, makespan sccsim.Time, switches uint64, stats sccsim.CoreStats) string {
+	return golden.Sum(fmt.Appendf(nil, "%d %d %+v %q", makespan, switches, stats, output))
+}
+
+// TestCrossEngineByteIdentity pins the trace exports and simulation
+// results of the three event-source programs to committed digests
+// (testdata/golden/exports.digests), recorded while the tree-walk
+// reference and the coroutine engine produced byte-identical exports.
+// Every hook sits on the scheduler's shared code path, so any change to
+// what a run records — or to the run itself — shows up here.
 func TestCrossEngineByteIdentity(t *testing.T) {
+	set := golden.NewSet(filepath.Join("testdata", "golden", "exports.digests"))
 	t.Run("rcce", func(t *testing.T) {
-		recTW := trace.NewRecorder(nil, 0)
-		recCO := trace.NewRecorder(nil, 0)
-		tw := runRCCE(t, rcceProgram, 4, interp.EngineTreeWalk, recTW)
-		co := runRCCE(t, rcceProgram, 4, interp.EngineCompiled, recCO)
-		if tw.Output != co.Output || tw.Makespan != co.Makespan {
-			t.Fatalf("engines diverge: %q/%d vs %q/%d", tw.Output, tw.Makespan, co.Output, co.Makespan)
-		}
-		a, b := exportJSON(t, recTW), exportJSON(t, recCO)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("trace exports differ between engines:\ntreewalk %d bytes, compiled %d bytes", len(a), len(b))
-		}
+		rec := trace.NewRecorder(nil, 0)
+		res := runRCCE(t, rcceProgram, 4, rec)
+		set.Add("rcce/export", golden.Sum(exportJSON(t, rec)))
+		set.Add("rcce/result", resultDigest(res.Output, res.Makespan, 0, res.Stats))
 	})
 	t.Run("pthread", func(t *testing.T) {
-		recTW := trace.NewRecorder(nil, 0)
-		recCO := trace.NewRecorder(nil, 0)
-		tw := runPthread(t, pthreadProgram, interp.EngineTreeWalk, recTW)
-		co := runPthread(t, pthreadProgram, interp.EngineCompiled, recCO)
-		if tw.Output != co.Output || tw.Makespan != co.Makespan {
-			t.Fatalf("engines diverge: %q/%d vs %q/%d", tw.Output, tw.Makespan, co.Output, co.Makespan)
-		}
-		if !bytes.Equal(exportJSON(t, recTW), exportJSON(t, recCO)) {
-			t.Fatal("trace exports differ between engines")
-		}
+		rec := trace.NewRecorder(nil, 0)
+		res := runPthread(t, pthreadProgram, rec)
+		set.Add("pthread/export", golden.Sum(exportJSON(t, rec)))
+		set.Add("pthread/result", resultDigest(res.Output, res.Makespan, res.Switches, res.Stats))
 	})
 	t.Run("sendrecv", func(t *testing.T) {
-		recTW := trace.NewRecorder(nil, 0)
-		recCO := trace.NewRecorder(nil, 0)
-		runRCCE(t, sendrecvProgram, 2, interp.EngineTreeWalk, recTW)
-		runRCCE(t, sendrecvProgram, 2, interp.EngineCompiled, recCO)
-		if !bytes.Equal(exportJSON(t, recTW), exportJSON(t, recCO)) {
-			t.Fatal("trace exports differ between engines")
-		}
+		rec := trace.NewRecorder(nil, 0)
+		res := runRCCE(t, sendrecvProgram, 2, rec)
+		set.Add("sendrecv/export", golden.Sum(exportJSON(t, rec)))
+		set.Add("sendrecv/result", resultDigest(res.Output, res.Makespan, 0, res.Stats))
 	})
+	set.Verify(t)
 }
 
 // TestTracingDoesNotPerturb: attaching a recorder must not change the
 // simulation — identical output, makespan and cycle statistics.
 func TestTracingDoesNotPerturb(t *testing.T) {
-	for _, eng := range []interp.Engine{interp.EngineTreeWalk, interp.EngineCompiled} {
-		plain := runRCCE(t, rcceProgram, 4, eng, nil)
-		traced := runRCCE(t, rcceProgram, 4, eng, trace.NewRecorder(nil, 0))
-		if plain.Output != traced.Output {
-			t.Errorf("%v: output changed under tracing: %q vs %q", eng, plain.Output, traced.Output)
-		}
-		if plain.Makespan != traced.Makespan {
-			t.Errorf("%v: makespan changed under tracing: %d vs %d", eng, plain.Makespan, traced.Makespan)
-		}
-		if plain.Stats != traced.Stats {
-			t.Errorf("%v: cycle stats changed under tracing:\n%+v\nvs\n%+v", eng, plain.Stats, traced.Stats)
-		}
+	plain := runRCCE(t, rcceProgram, 4, nil)
+	traced := runRCCE(t, rcceProgram, 4, trace.NewRecorder(nil, 0))
+	if plain.Output != traced.Output {
+		t.Errorf("output changed under tracing: %q vs %q", plain.Output, traced.Output)
+	}
+	if plain.Makespan != traced.Makespan {
+		t.Errorf("makespan changed under tracing: %d vs %d", plain.Makespan, traced.Makespan)
+	}
+	if plain.Stats != traced.Stats {
+		t.Errorf("cycle stats changed under tracing:\n%+v\nvs\n%+v", plain.Stats, traced.Stats)
 	}
 }
 
@@ -197,13 +186,13 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 // with: go test ./internal/trace -run TestGoldenTrace -update
 func TestGoldenTrace(t *testing.T) {
 	rec := trace.NewRecorder(nil, 0)
-	res := runRCCE(t, rcceProgram, 4, interp.EngineCompiled, rec)
+	res := runRCCE(t, rcceProgram, 4, rec)
 	if res.Output != "count 32 stage 31\n" {
 		t.Fatalf("unexpected program output %q", res.Output)
 	}
 	got := exportJSON(t, rec)
 	path := filepath.Join("testdata", "golden", "rcce_lock.trace.json")
-	if *update {
+	if *golden.Update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -331,8 +320,8 @@ func TestChromeSchemaRoundTrip(t *testing.T) {
 func TestRingDropOldest(t *testing.T) {
 	small := trace.NewRecorder(nil, 16)
 	big := trace.NewRecorder(nil, 0)
-	runRCCE(t, rcceProgram, 4, interp.EngineCompiled, small)
-	runRCCE(t, rcceProgram, 4, interp.EngineCompiled, big)
+	runRCCE(t, rcceProgram, 4, small)
+	runRCCE(t, rcceProgram, 4, big)
 
 	events, dropped := small.Events()
 	if len(events) != 16 {
