@@ -1,23 +1,15 @@
-// Command benchguard is the benchmark regression gate: it compares two
-// `go test -bench` outputs — the tree-walk reference engine (HSMCC_ENGINE=
-// treewalk) and the default coroutine (compiled) engine from the same
-// binary on the same machine — and fails unless the coroutine engine
-// keeps a minimum geomean speedup. Comparing the two engines of one
-// build keeps the guard machine-independent: absolute ns/op vary with
-// CI hardware, the ratio between engines does not. It also emits a
-// benchstat-style delta report for the CI artifact.
+// Command benchguard is the base-vs-HEAD performance-regression gate:
+// it compares two `go test -bench` outputs taken on the same machine —
+// the change's base commit (-old) and its head (-new) — and fails unless
+// new costs at most (1 + overhead) of old by geomean of the per-benchmark
+// medians. Running both sides on one runner keeps the gate
+// machine-independent: absolute ns/op vary with CI hardware, the ratio
+// between two builds does not. It also emits a benchstat-style delta
+// report for the CI artifact.
 //
 // Usage:
 //
-//	benchguard -old treewalk.txt -new coroutine.txt -min-speedup 1.15 -out delta.txt
-//
-// With -max-overhead the gate inverts into an overhead budget: instead
-// of requiring new to beat old, it requires new to cost at most
-// (1 + overhead) of old by geomean. That is the tracing gate — the
-// same benchmarks with the trace hooks compiled in but disabled must
-// stay within e.g. 2% (-max-overhead 0.02) of the pre-change baseline.
-//
-//	benchguard -old base.txt -new traced-off.txt -max-overhead 0.02
+//	benchguard -old base.txt -new head.txt -max-overhead 0.02 -out delta.txt
 package main
 
 import (
@@ -66,16 +58,18 @@ func median(v []float64) float64 {
 }
 
 func run() error {
-	oldPath := flag.String("old", "", "benchmark output of the reference (tree-walk) engine")
-	newPath := flag.String("new", "", "benchmark output of the coroutine (compiled) engine")
-	minSpeedup := flag.Float64("min-speedup", 1.5, "minimum geomean old/new ratio to pass")
-	maxOverhead := flag.Float64("max-overhead", 0, "overhead-budget mode: pass while geomean new/old <= 1+this (overrides -min-speedup)")
-	oldLabel := flag.String("old-label", "tree-walk", "report column label for -old")
-	newLabel := flag.String("new-label", "coroutine", "report column label for -new")
+	oldPath := flag.String("old", "", "benchmark output of the base commit")
+	newPath := flag.String("new", "", "benchmark output of the head commit")
+	maxOverhead := flag.Float64("max-overhead", 0, "pass while geomean new/old <= 1+this")
+	oldLabel := flag.String("old-label", "base", "report column label for -old")
+	newLabel := flag.String("new-label", "head", "report column label for -new")
 	outPath := flag.String("out", "", "optional delta report file")
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
 		return fmt.Errorf("benchguard: -old and -new are required")
+	}
+	if *maxOverhead <= 0 {
+		return fmt.Errorf("benchguard: -max-overhead must be positive")
 	}
 	oldRes, err := parse(*oldPath)
 	if err != nil {
@@ -112,23 +106,15 @@ func run() error {
 			return err
 		}
 	}
-	if *maxOverhead > 0 {
-		// Overhead budget: the geomean is old/new, so new within
-		// (1+overhead)×old means geomean >= 1/(1+overhead).
-		overhead := 1/geomean - 1
-		if floor := 1 / (1 + *maxOverhead); geomean < floor {
-			return fmt.Errorf("benchguard: geomean overhead %.1f%% above the %.1f%% budget — %s regressed against %s",
-				100*overhead, 100**maxOverhead, *newLabel, *oldLabel)
-		}
-		fmt.Printf("benchguard: ok (geomean overhead %.1f%% within the %.1f%% budget)\n",
-			100*overhead, 100**maxOverhead)
-		return nil
+	// The geomean is old/new, so new within (1+overhead)×old means
+	// geomean >= 1/(1+overhead).
+	overhead := 1/geomean - 1
+	if floor := 1 / (1 + *maxOverhead); geomean < floor {
+		return fmt.Errorf("benchguard: geomean overhead %.1f%% above the %.1f%% budget — %s regressed against %s",
+			100*overhead, 100**maxOverhead, *newLabel, *oldLabel)
 	}
-	if geomean < *minSpeedup {
-		return fmt.Errorf("benchguard: geomean speedup %.2fx below the %.2fx floor — the coroutine engine regressed",
-			geomean, *minSpeedup)
-	}
-	fmt.Printf("benchguard: ok (geomean %.2fx >= %.2fx)\n", geomean, *minSpeedup)
+	fmt.Printf("benchguard: ok (geomean overhead %.1f%% within the %.1f%% budget)\n",
+		100*overhead, 100**maxOverhead)
 	return nil
 }
 

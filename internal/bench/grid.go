@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 
-	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/sccsim"
 	"hsmcc/internal/trace"
@@ -205,9 +204,6 @@ type RunOptions struct {
 	// machines each running shard i/n cover the grid exactly once.
 	// ShardCount <= 1 disables sharding.
 	ShardIndex, ShardCount int
-	// Engine selects the execution engine for every cell ("",
-	// "compiled" or "treewalk"; empty defers to HSMCC_ENGINE).
-	Engine string
 	// Cache, when non-nil, replaces the per-sweep compile cache: the
 	// serving daemon passes its process-lifetime cache here so grid
 	// requests reuse (and warm) compiles, baselines and profiles across
@@ -266,13 +262,11 @@ func (r *Report) Filename() string {
 
 // cellKey identifies the semantic inputs of an RCCE run. Cells with
 // different spec budgets can resolve to the same effective work (budget
-// 0 is "the full MPB"), which the cache collapses. The engine is part
-// of the identity: a run under one engine must never serve a cell that
-// asked for another (equivalence tests compare engines through this
-// very path). placement is the profile-guided placement map digest —
-// empty for static policies — so a profiled cell can never collide with
-// a static-policy cell at the same (cores, policy-name, budget) tuple,
-// nor with a profiled cell whose measured placement differs.
+// 0 is "the full MPB"), which the cache collapses. placement is the
+// profile-guided placement map digest — empty for static policies — so
+// a profiled cell can never collide with a static-policy cell at the
+// same (cores, policy-name, budget) tuple, nor with a profiled cell
+// whose measured placement differs.
 //
 // (Baseline runs have no per-grid cache anymore: RunBaseline memoizes
 // through the sweep's shared bench.Cache, so every policy and budget
@@ -286,7 +280,6 @@ type cellKey struct {
 	cores     int
 	policy    string
 	budget    int
-	engine    interp.Engine
 	placement string
 	machine   string
 }
@@ -297,13 +290,12 @@ type cellKey struct {
 // it; for duplicate-marking before execution the empty digest is
 // enough, because the digest is itself a deterministic function of the
 // other key fields.
-func semanticKey(c Cell, fullMPB int, engine interp.Engine, machine string) cellKey {
+func semanticKey(c Cell, fullMPB int, machine string) cellKey {
 	b := c.MPBBudget
 	if b <= 0 {
 		b = fullMPB
 	}
-	return cellKey{workload: c.Workload, cores: c.Cores, policy: c.Policy, budget: b,
-		engine: engine, machine: machine}
+	return cellKey{workload: c.Workload, cores: c.Cores, policy: c.Policy, budget: b, machine: machine}
 }
 
 // gridRunner carries the per-run caches.
@@ -311,9 +303,7 @@ type gridRunner struct {
 	grid    Grid
 	cfg     Config
 	fullMPB int
-	// engine is the resolved execution engine, part of every cache key.
-	engine interp.Engine
-	cells  onceCache[cellKey, *RunResult]
+	cells   onceCache[cellKey, *RunResult]
 	// traceDir, when non-empty, receives one Chrome trace file per
 	// distinct RCCE simulation (RunOptions.TraceDir).
 	traceDir string
@@ -374,12 +364,6 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	r.cfg.Cancel = opt.Cancel
 	r.cfg.Fault = opt.Fault
 	r.traceDir = opt.TraceDir
-	eng, err := interp.ParseEngine(opt.Engine)
-	if err != nil {
-		return nil, err
-	}
-	r.cfg.Engine = eng
-	r.engine = eng.Resolve()
 
 	// Mark duplicate cells (same semantic key as an earlier-indexed
 	// cell) up front, so the Cached flag does not depend on which
@@ -391,7 +375,7 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	firstByKey := make(map[cellKey]int)
 	dup := make([]bool, len(cells))
 	for i, c := range cells {
-		k := semanticKey(c, r.fullMPB, r.engine, r.cfg.machineEnv)
+		k := semanticKey(c, r.fullMPB, r.cfg.machineEnv)
 		if _, ok := firstByKey[k]; ok {
 			dup[i] = true
 		} else {
@@ -486,14 +470,14 @@ func (r *gridRunner) runCell(cell Cell) CellResult {
 	cfg.MPBCapacity = cell.MPBBudget
 
 	// The baseline is memoized through the sweep's shared bench.Cache
-	// (keyed by workload, cores, scale, engine and run environment), so
-	// every policy and budget cell shares one run.
+	// (keyed by workload, cores, scale and run environment), so every
+	// policy and budget cell shares one run.
 	base, err := RunBaseline(w, cfg)
 	if err != nil {
 		res.Error = err.Error()
 		return res
 	}
-	key := semanticKey(cell, r.fullMPB, r.engine, r.cfg.machineEnv)
+	key := semanticKey(cell, r.fullMPB, r.cfg.machineEnv)
 	if policy == partition.PolicyProfiled {
 		// Resolve the measured placement (profile pass memoized in the
 		// shared Cache) so its digest becomes part of the cell's cache

@@ -43,7 +43,7 @@ func (r *RunResult) Seconds() float64 { return float64(r.Makespan) / sccsim.PsPe
 // cycle statistics. Golden tests pin it: any change to simulated
 // behaviour changes the digest.
 func (r *RunResult) Digest() string {
-	h := sha256.New()
+	h := sha256.New() // writes to a hash never fail
 	binary.Write(h, binary.LittleEndian, [2]uint64{r.Makespan, r.Switches})
 	binary.Write(h, binary.LittleEndian, r.Stats)
 	h.Write([]byte(r.Output))
@@ -74,9 +74,9 @@ type Config struct {
 	// inject translator faults and prove the differential oracle catches
 	// them; nil is the identity.
 	TransformRCCE func(src string) (string, error)
-	// Engine selects the execution engine for both backends (the zero
-	// value defers to interp.DefaultEngine / HSMCC_ENGINE). Part of the
-	// cell cache identity: mixed-engine sweeps must not share results.
+	// Engine is ignored: the compiled engine is the only engine.
+	//
+	// Deprecated: kept for source compatibility; nothing reads it.
 	Engine interp.Engine
 	// Cache, when non-nil, memoizes the compile-side stages (source
 	// compile and translation) so one compiled Program serves every
@@ -156,15 +156,14 @@ func (cfg Config) rcceOptions() rcce.Options {
 	if cfg.RCCE != nil {
 		ropts = cfg.RCCE(cfg.Threads)
 	}
-	ropts.Engine = cfg.Engine
 	ropts.Cancel = cfg.Cancel
 	ropts.Trace = cfg.TraceRCCE
 	return ropts
 }
 
 // baselineEnv fingerprints the parts of the environment a baseline run
-// depends on beyond (workload, threads, scale, engine): the machine
-// configuration and the baseline runtime options. It completes the
+// depends on beyond (workload, threads, scale): the machine configuration
+// and the baseline runtime options. It completes the
 // cross-cell memoization key — two cells may share a baseline result
 // only when every input of that run is identical.
 func (cfg Config) baselineEnv() string {
@@ -231,7 +230,6 @@ func RunBaselineProgram(w Workload, pr *interp.Program, cfg Config) (*RunResult,
 	}
 	defer cfg.span("baseline")()
 	opts := cfg.Baseline
-	opts.Engine = cfg.Engine
 	opts.Cancel = cfg.Cancel
 	res, err := pthreadrt.Run(pr, cfg.Machine(), opts)
 	if err != nil {
@@ -250,9 +248,9 @@ func RunBaselineProgram(w Workload, pr *interp.Program, cfg Config) (*RunResult,
 
 // RunBaseline measures the unconverted Pthread program. With a Cache in
 // cfg both the compile AND the execution are memoized: the baseline is
-// a pure function of (workload, threads, scale, engine, machine+runtime
-// options), so every policy and budget cell of a sweep at the same
-// configuration shares one run instead of recomputing it.
+// a pure function of (workload, threads, scale, machine+runtime options),
+// so every policy and budget cell of a sweep at the same configuration
+// shares one run instead of recomputing it.
 func RunBaseline(w Workload, cfg Config) (*RunResult, error) {
 	if cfg.Cache != nil {
 		return cfg.Cache.baselineRun(w, cfg)

@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/sccsim"
 )
@@ -48,8 +47,8 @@ func TestMachineCacheKeysDistinct(t *testing.T) {
 	}
 
 	cell := Cell{Workload: "hist", Cores: 4, Policy: "size"}
-	ca := semanticKey(cell, 1<<14, interp.EngineCompiled, a.machineEnv)
-	cb := semanticKey(cell, 1<<14, interp.EngineCompiled, b.machineEnv)
+	ca := semanticKey(cell, 1<<14, a.machineEnv)
+	cb := semanticKey(cell, 1<<14, b.machineEnv)
 	if ca == cb {
 		t.Errorf("grid cell keys identical across machine presets")
 	}
@@ -88,7 +87,7 @@ func TestGridMachinePreset(t *testing.T) {
 		Scale:     0.05,
 		Machine:   "mesh256",
 	}
-	rep, err := RunGrid(g, RunOptions{Parallel: 1, Engine: "compiled"})
+	rep, err := RunGrid(g, RunOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

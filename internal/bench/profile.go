@@ -21,9 +21,8 @@ import (
 // count and scale: translate with every shared variable off-chip (the
 // uniform reference placement), execute the translated RCCE program
 // once with a profile.Collector attached, and distill the counters into
-// a deterministic profile.Report. The report is byte-identical across
-// execution engines and is memoized via cfg.Cache per (workload,
-// threads, scale, engine, machine+runtime options).
+// a deterministic profile.Report. The report is memoized via cfg.Cache
+// per (workload, threads, scale, machine+runtime options).
 //
 // The profiling run deliberately bypasses cfg.TransformRCCE: the
 // fault-injection seam targets the translation under test, while the
@@ -67,7 +66,6 @@ func profileUncached(w Workload, cfg Config) (*profile.Report, error) {
 		Workload: w.Key,
 		Cores:    cfg.Threads,
 		Scale:    cfg.Scale,
-		Engine:   cfg.Engine.Resolve().String(),
 		Vars:     col.Snapshot(),
 		MPB: profile.MPBStats{
 			CapacityBytes:  mcfg.MPBTotal(),

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hsmcc/internal/golden"
-	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/profile"
 )
@@ -56,7 +55,6 @@ func TestProfileByteIdenticalAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
-		rep.Engine = "" // the label is not a simulated result
 		buf, err := rep.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -174,14 +172,14 @@ func TestBaselineRunMemoizedAcrossCells(t *testing.T) {
 	if n := cfg.Cache.Stats().BaselineRuns; n != 2 {
 		t.Fatalf("baseline runs after second cores value = %d, want 2", n)
 	}
-	// A different engine never shares either.
+	// A different problem scale never shares either.
 	cfg3 := cfg
-	cfg3.Engine = interp.EngineTreeWalk
+	cfg3.Scale = cfg.Scale * 2
 	if _, err := RunBaseline(w, cfg3); err != nil {
 		t.Fatal(err)
 	}
 	if n := cfg.Cache.Stats().BaselineRuns; n != 3 {
-		t.Fatalf("baseline runs after engine switch = %d, want 3", n)
+		t.Fatalf("baseline runs after scale change = %d, want 3", n)
 	}
 }
 

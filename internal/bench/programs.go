@@ -65,15 +65,14 @@ type translation struct {
 }
 
 // baselineRunKey identifies one baseline execution. The baseline is a
-// pure function of the workload source (workload, threads, scale), the
-// engine and the run environment (machine configuration plus baseline
-// runtime options, folded into env) — every policy and budget variant
-// of a sweep reuses it, the ROADMAP's cross-cell memoization.
+// pure function of the workload source (workload, threads, scale) and
+// the run environment (machine configuration plus baseline runtime
+// options, folded into env) — every policy and budget variant of a
+// sweep reuses it, the ROADMAP's cross-cell memoization.
 type baselineRunKey struct {
 	workload string
 	threads  int
 	scale    float64
-	engine   interp.Engine
 	env      string
 }
 
@@ -85,7 +84,6 @@ type profileKey struct {
 	workload string
 	threads  int
 	scale    float64
-	engine   interp.Engine
 	env      string
 }
 
@@ -318,7 +316,7 @@ func (c *Cache) baselineRun(w Workload, cfg Config) (*RunResult, error) {
 	if c == nil {
 		return run()
 	}
-	key := baselineRunKey{w.Key, cfg.Threads, cfg.Scale, cfg.Engine.Resolve(), cfg.baselineEnv()}
+	key := baselineRunKey{w.Key, cfg.Threads, cfg.Scale, cfg.baselineEnv()}
 	return c.baselines.get(key, run)
 }
 
@@ -333,7 +331,7 @@ func (c *Cache) profileReport(w Workload, cfg Config) (*profile.Report, error) {
 	if c == nil {
 		return run()
 	}
-	key := profileKey{w.Key, cfg.Threads, cfg.Scale, cfg.Engine.Resolve(), cfg.rcceEnv()}
+	key := profileKey{w.Key, cfg.Threads, cfg.Scale, cfg.rcceEnv()}
 	return c.profiles.get(key, run)
 }
 
@@ -350,6 +348,6 @@ func (c *Cache) placementFor(w Workload, cfg Config, budget int) (*profile.Place
 	if c == nil {
 		return run()
 	}
-	pk := profileKey{w.Key, cfg.Threads, cfg.Scale, cfg.Engine.Resolve(), cfg.rcceEnv()}
+	pk := profileKey{w.Key, cfg.Threads, cfg.Scale, cfg.rcceEnv()}
 	return c.placements.get(placementKey{pk, budget}, run)
 }

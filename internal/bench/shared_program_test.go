@@ -32,9 +32,6 @@ func TestSharedProgramConcurrentCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !basePr.FullyCompiled() {
-		t.Fatal("baseline program should compile fully")
-	}
 	tr, err := TranslateWorkload(w, cfg, partition.PolicySizeAscending)
 	if err != nil {
 		t.Fatal(err)

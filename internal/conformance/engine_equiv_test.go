@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hsmcc/internal/bench"
+	"hsmcc/internal/golden"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/synth"
 )
@@ -16,7 +17,7 @@ import (
 // compiled engine and the tree-walk reference both produced them.
 
 // addKernelRuns records w's baseline and size-policy RCCE runs.
-func addKernelRuns(t *testing.T, add func(name, digest string), name string, w bench.Workload, cfg bench.Config) {
+func addKernelRuns(t *testing.T, set *golden.Set, name string, w bench.Workload, cfg bench.Config) {
 	t.Helper()
 	base, err := bench.RunBaseline(w, cfg)
 	if err != nil {
@@ -26,8 +27,8 @@ func addKernelRuns(t *testing.T, add func(name, digest string), name string, w b
 	if err != nil {
 		t.Fatalf("%s rcce: %v", name, err)
 	}
-	add(name+"/baseline", base.Digest())
-	add(name+"/rcce", conv.Digest())
+	set.Add(name+"/baseline", base.Digest())
+	set.Add(name+"/rcce", conv.Digest())
 }
 
 // TestEngineEquivalenceKernels covers a sample of generated kernels
@@ -43,7 +44,7 @@ func TestEngineEquivalenceKernels(t *testing.T) {
 		src := SpecForSeed(seed, DefaultGenOptions()).Source(cores)
 		cfg := bench.DefaultConfig()
 		cfg.Threads = cores
-		addKernelRuns(t, set.Add, fmt.Sprintf("seed%d", seed), kernelWorkload(seed, src), cfg)
+		addKernelRuns(t, set, fmt.Sprintf("seed%d", seed), kernelWorkload(seed, src), cfg)
 	}
 	set.Verify(t)
 }
@@ -63,7 +64,34 @@ func TestEngineEquivalenceSynthKernels(t *testing.T) {
 		cfg := bench.DefaultConfig()
 		cfg.Threads = cores
 		cfg.Scale = 1.0
-		addKernelRuns(t, set.Add, p.Key(), bench.SynthWorkload(p), cfg)
+		addKernelRuns(t, set, p.Key(), bench.SynthWorkload(p), cfg)
 	}
 	set.Verify(t)
+}
+
+// TestGeneratorEmitsSoloTasks pins the thread-specific-launch extension:
+// across a seed range, some kernels must contain solo (`if (me == k)`)
+// tasks, and their emitted source must carry the guard.
+func TestGeneratorEmitsSoloTasks(t *testing.T) {
+	found := 0
+	for seed := int64(0); seed < 80; seed++ {
+		spec := SpecForSeed(seed, DefaultGenOptions())
+		for _, rd := range spec.Rounds {
+			if rd.Solo == nil {
+				continue
+			}
+			found++
+			// The solo target must not be a loop target of its round
+			// (race-freedom by construction).
+			for _, st := range rd.Loop {
+				if st.Arr == rd.Solo.Arr {
+					t.Fatalf("seed %d: solo targets array %d which the round's loop also writes", seed, rd.Solo.Arr)
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no generated kernel contained a thread-specific solo task across 80 seeds")
+	}
+	t.Logf("%d solo tasks across 80 seeds", found)
 }

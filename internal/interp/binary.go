@@ -7,11 +7,9 @@ import (
 	"hsmcc/internal/cc/types"
 )
 
-// binCost is the cycle charge for one binary operation — the exact
-// per-case charges of the original applyBinary/applyBinaryFast pair,
-// hoisted to a pure table so each apply has a single charge site (which
-// is what makes the pair resumable with one frame under the coroutine
-// engine; the charge-then-compute order per case is unchanged).
+// binCost is the cycle charge for one binary operation, as a pure table
+// so applyBinary has a single charge site (which is what makes it
+// resumable with one frame).
 func binCost(op token.Kind, float bool) int {
 	switch op {
 	case token.Star:
@@ -34,10 +32,8 @@ func binCost(op token.Kind, float bool) int {
 
 // applyResume finishes a suspended binary apply: the charge completed
 // and the pure outcome (value or fold error) was saved in the frame, so
-// re-entry returns it without consulting the operands. Both appliers
-// push this frame shape, which lets a resume reach either one — the
-// zero operands a caller passes on re-entry route to the numeric branch
-// regardless of how the original call routed.
+// re-entry returns it without consulting the operands (a caller may
+// pass zero operands on re-entry).
 func (p *Proc) applyResume() (Value, error) {
 	fr := p.popKRef()
 	if e, ok := fr.x.(error); ok {
@@ -55,31 +51,53 @@ func (p *Proc) pushApplyOutcome(v Value, err error) {
 	}
 }
 
-// applyBinaryFast is the compiled engine's fusion of applyBinary and
-// foldBinary: one float/int classification, one charge, the same folds,
-// wrap-arounds and error messages as the two-level reference pair (which
-// stays as the tree-walk path and the constant folder). Behaviourally
-// identical by construction; pinned by the engine-equivalence golden
-// tests. Resumable: the only suspension point is the charge, after which
-// the computation is pure over the operands, so the yield path computes
-// the outcome eagerly and re-entry just returns it.
-func (p *Proc) applyBinaryFast(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
-	// Pointer arithmetic: rare; route through the reference path.
-	if xt := x.T; xt != nil && xt.IsPointerLike() && (op == token.Plus || op == token.Minus) {
-		return p.applyBinary(op, x, y, rt)
-	}
+// applyBinary computes x op y, charging the operation cost: one ALU
+// cycle for pointer arithmetic, binCost otherwise. The single charge
+// site is what makes it resumable: the computation after the charge is
+// pure over the operands, so the yield path computes the outcome
+// eagerly and saves it in the frame, and re-entry (with any operands)
+// just returns it.
+func (p *Proc) applyBinary(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
 	if p.coResuming {
 		return p.applyResume()
 	}
+	if xt := x.T; xt != nil && xt.IsPointerLike() && (op == token.Plus || op == token.Minus) {
+		if err := p.chargeCycles(costALU); err != nil {
+			p.pushApplyOutcome(pointerArith(op, x, y), nil)
+			return Value{}, err
+		}
+		return pointerArith(op, x, y), nil
+	}
 	if err := p.chargeCycles(binCost(op, x.IsFloat() || y.IsFloat())); err != nil {
-		p.pushApplyOutcome(foldFast(op, x, y, rt))
+		p.pushApplyOutcome(foldBinary(op, x, y, rt))
 		return Value{}, err
 	}
-	return foldFast(op, x, y, rt)
+	return foldBinary(op, x, y, rt)
 }
 
-// foldFast is applyBinaryFast's pure compute half.
-func foldFast(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
+// pointerArith computes pointer ± integer (scaling the integer by the
+// element size) and pointer − pointer (in elements).
+func pointerArith(op token.Kind, x, y Value) Value {
+	xt := x.T
+	elem := xt.Decay().Elem
+	size := int64(4)
+	if elem != nil && elem.Size() > 0 {
+		size = int64(elem.Size())
+	}
+	if yt := y.T; yt != nil && yt.IsPointerLike() && op == token.Minus {
+		return IntValue(types.IntType, (x.Int()-y.Int())/size)
+	}
+	delta := y.Int() * size
+	if op == token.Minus {
+		delta = -delta
+	}
+	return PtrValue(xt.Decay(), uint32(x.Int()+delta))
+}
+
+// foldBinary is the pure arithmetic core of applyBinary and the
+// constant folder: C's usual arithmetic on int, unsigned and double
+// operands, converted to rt when rt is an arithmetic type.
+func foldBinary(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
 	if x.IsFloat() || y.IsFloat() {
 		a, b := x.Float(), y.Float()
 		t := types.DoubleType
@@ -183,4 +201,30 @@ func boolValue(b bool) Value {
 		return Value{T: types.IntType, I: 1}
 	}
 	return Value{T: types.IntType, I: 0}
+}
+
+// stepValue adds delta respecting pointer scaling (++/--).
+func (p *Proc) stepValue(v Value, t *types.Type, delta int64) Value {
+	if t.Kind == types.Pointer && t.Elem != nil {
+		return PtrValue(t, uint32(v.Int()+delta*int64(t.Elem.Size())))
+	}
+	if v.IsFloat() {
+		return FloatValue(t, v.F+float64(delta))
+	}
+	return IntValue(t, v.I+delta)
+}
+
+// compoundOps maps each compound assignment operator to its binary
+// operator.
+var compoundOps = map[token.Kind]token.Kind{
+	token.AddAssign: token.Plus,
+	token.SubAssign: token.Minus,
+	token.MulAssign: token.Star,
+	token.DivAssign: token.Slash,
+	token.ModAssign: token.Percent,
+	token.AndAssign: token.Amp,
+	token.OrAssign:  token.Pipe,
+	token.XorAssign: token.Caret,
+	token.ShlAssign: token.Shl,
+	token.ShrAssign: token.Shr,
 }

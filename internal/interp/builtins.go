@@ -6,85 +6,18 @@ import (
 	"strconv"
 	"strings"
 
-	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/types"
 )
 
-// evalCall dispatches a call: defined functions first (directly by name
-// or through a function pointer), then the runtime's builtins, then the
-// interpreter's common libc subset.
-func (p *Proc) evalCall(n *ast.CallExpr) (Value, error) {
-	name := n.FuncName()
-
-	// Indirect call through an expression or function-valued variable.
-	if name == "" || (n.Fun.ResultType() != nil && p.Sim.Program.Funcs[name] == nil && !isKnownBuiltin(name)) {
-		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Sym != nil && id.Sym.Kind != ast.SymFunc {
-			fv, err := p.evalExpr(n.Fun)
-			if err != nil {
-				return Value{}, err
-			}
-			if fn := p.Sim.Program.FuncByValue(fv); fn != nil {
-				args, err := p.evalArgs(n.Args)
-				if err != nil {
-					return Value{}, err
-				}
-				return p.call(fn, args)
-			}
-		}
-	}
-
-	if fn, ok := p.Sim.Program.Funcs[name]; ok && fn.Body != nil {
-		args, err := p.evalArgs(n.Args)
-		if err != nil {
-			return Value{}, err
-		}
-		return p.call(fn, args)
-	}
-
-	args, err := p.evalArgs(n.Args)
-	if err != nil {
-		return Value{}, err
-	}
-	if rt := p.Sim.Runtime; rt != nil {
-		v, handled, err := rt.CallBuiltin(p, name, args)
-		if err != nil {
-			return Value{}, err
-		}
-		if handled {
-			return v, nil
-		}
-	}
-	v, handled, err := p.commonBuiltin(name, args)
-	if err != nil {
-		return Value{}, err
-	}
-	if handled {
-		return v, nil
-	}
-	return Value{}, fmt.Errorf("%s: call of unknown function %s", n.Pos(), name)
-}
-
-func (p *Proc) evalArgs(exprs []ast.Expr) ([]Value, error) {
-	args := make([]Value, len(exprs))
-	for i, e := range exprs {
-		v, err := p.evalExpr(e)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-		if err := p.chargeCycles(costALU); err != nil { // argument push
-			return nil, err
-		}
-	}
-	return args, nil
-}
-
+// isKnownBuiltin reports whether a callee name resolves to a builtin
+// (common libc subset or a runtime family) rather than a function
+// pointer variable.
 func isKnownBuiltin(name string) bool {
 	return commonBuiltinID(name) != bNone ||
 		strings.HasPrefix(name, "pthread_") || strings.HasPrefix(name, "RCCE_")
 }
 
-// builtinID is an interned common-builtin identity; the compiled engine
+// builtinID is an interned common-builtin identity; the compiler
 // resolves call sites to IDs once so the hot path dispatches on a small
 // integer instead of comparing strings.
 type builtinID int
@@ -132,12 +65,6 @@ func commonBuiltinID(name string) builtinID {
 		return bWallclock
 	}
 	return bNone
-}
-
-// commonBuiltin implements the runtime-independent libc subset (the
-// tree-walk engine's string-keyed entry point).
-func (p *Proc) commonBuiltin(name string, args []Value) (Value, bool, error) {
-	return p.commonBuiltinByID(commonBuiltinID(name), args)
 }
 
 // commonBuiltinByID dispatches an interned common builtin. Every builtin

@@ -4,20 +4,18 @@ import (
 	"fmt"
 
 	"hsmcc/internal/cc/ast"
+	"hsmcc/internal/cc/token"
 	"hsmcc/internal/cc/types"
 )
 
 // The compile pass lowers each function once, at Load time, into the
-// closure form of ir.go. Lowering is a transcription of eval.go/exec.go:
-// every chargeCycles call, memory access and error message is emitted in
-// the same order as the tree-walk engine, so the compiled engine produces
-// byte-identical output AND identical simulated-time statistics — only
-// host-side work (type switches, map lookups, per-call AST walks) is
-// resolved ahead of time. Anything the compiler cannot resolve statically
-// poisons the whole function, which then routes to the tree-walk engine;
-// mixing engines per function is safe because both operate on the same
-// Proc stack-pointer discipline (a program with any poisoned function
-// falls back to the goroutine scheduler as a whole — see Sim.decideMode).
+// closure form of ir.go. Every chargeCycles call, memory access and error
+// message is emitted at run time in a fixed order, so the simulated-time
+// statistics are a property of the program alone; only host-side work
+// (type switches, map lookups, per-call AST walks) is resolved ahead of
+// time. A tree the compiler cannot resolve statically (a nil type or
+// symbol, which a sema-checked tree never carries) fails Load with a
+// positioned error naming the function.
 //
 // Every lowered closure additionally follows the coroutine resumption
 // protocol of coro.go. Each closure's body is a sequence of units
@@ -33,55 +31,54 @@ import (
 // The resume dispatch is kept OFF the fresh path: closures test the
 // resuming bit once, handle non-zero steps in a cold block (small
 // resume-tail closures bound at compile time carry any duplicated
-// suffix), and fall through to a straight-line fresh body that matches
-// the pre-coroutine engine instruction for instruction. A step-0 frame
-// ("inside my first child") also falls through — the child pops its own
-// frame and resumes internally.
+// suffix), and fall through to a straight-line fresh body. A step-0
+// frame ("inside my first child") also falls through — the child pops
+// its own frame and resumes internally.
 
 // compileProgram lowers every function of a loaded program.
-func compileProgram(pr *Program) {
+func compileProgram(pr *Program) error {
 	pr.compiled = make(map[*ast.FuncDecl]*compiledFunc, len(pr.funcList))
 	pr.compiledList = make([]*compiledFunc, len(pr.funcList))
 	// Two phases: layouts first, so call sites can reference any callee's
 	// shell (recursion, forward calls), then bodies.
 	for i, fn := range pr.funcList {
 		cf := &compiledFunc{decl: fn, name: fn.Name}
-		cf.buildLayout()
+		if err := cf.buildLayout(); err != nil {
+			return err
+		}
 		pr.compiled[fn] = cf
 		pr.compiledList[i] = cf
 	}
-	pr.fullyCompiled = true
 	for _, cf := range pr.compiledList {
 		if cf.decl.Body == nil {
 			continue
 		}
-		if cf.fallback {
-			pr.fullyCompiled = false
-			continue
-		}
 		c := &compiler{pr: pr, cf: cf, slotIdx: make(map[*ast.Symbol]int)}
 		for i, sd := range cf.slots {
-			// Last allocation wins, mirroring the reference frame map.
+			// Last allocation wins (a symbol declared twice keeps its
+			// later slot).
 			c.slotIdx[sd.sym] = i
 		}
 		body := c.compileBlock(cf.decl.Body)
-		if c.poison {
-			cf.fallback = true
-			pr.fullyCompiled = false
-			continue
+		if c.err != nil {
+			return c.err
 		}
 		cf.body = body
 	}
+	return nil
 }
 
-// buildLayout computes the frame layout exactly as the reference
-// pushFrame does: one slot per named parameter, then one per local
-// declaration anywhere in the body, in Inspect (source) order.
-func (cf *compiledFunc) buildLayout() {
+// buildLayout computes the frame layout: one slot per named parameter,
+// then one per local declaration anywhere in the body, in Inspect
+// (source) order.
+func (cf *compiledFunc) buildLayout() error {
 	fn := cf.decl
-	add := func(sym *ast.Symbol, t *types.Type) int {
+	var err error
+	add := func(pos token.Pos, sym *ast.Symbol, t *types.Type) int {
 		if t == nil {
-			cf.fallback = true
+			if err == nil {
+				err = fmt.Errorf("interp: %s: in %s: %s has no type", pos, fn.Name, sym.Name)
+			}
 			return -1
 		}
 		size := uint32(t.Size())
@@ -101,20 +98,23 @@ func (cf *compiledFunc) buildLayout() {
 	for i, prm := range fn.Params {
 		cf.paramSlot[i] = -1
 		cf.paramType[i] = prm.Type
-		cf.paramStore[i] = makeStore(prm.Type)
 		if prm.Sym != nil {
-			cf.paramSlot[i] = add(prm.Sym, prm.Type)
+			cf.paramSlot[i] = add(prm.Pos(), prm.Sym, prm.Type)
+		}
+		if prm.Type != nil {
+			cf.paramStore[i] = makeStore(prm.Type)
 		}
 	}
 	if fn.Body == nil {
-		return
+		return err
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if d, ok := n.(*ast.DeclStmt); ok && d.Decl.Sym != nil {
-			add(d.Decl.Sym, d.Decl.Type)
+			add(d.Pos(), d.Decl.Sym, d.Decl.Type)
 		}
 		return true
 	})
+	return err
 }
 
 // compiler lowers one function body.
@@ -122,13 +122,18 @@ type compiler struct {
 	pr      *Program
 	cf      *compiledFunc
 	slotIdx map[*ast.Symbol]int
-	poison  bool
+	// err is the first tree shape the compiler could not lower; Load
+	// reports it and the function is never run.
+	err error
 }
 
-// bail poisons the function; the returned closure is never executed.
-func (c *compiler) bail() evalFn {
-	c.poison = true
-	return func(p *Proc) (Value, error) { return Value{}, fmt.Errorf("interp: poisoned function") }
+// fail records a lowering error at pos, naming the function, and returns
+// a closure that is never executed (Load fails first).
+func (c *compiler) fail(pos token.Pos, format string, args ...any) evalFn {
+	if c.err == nil {
+		c.err = fmt.Errorf("interp: %s: in %s: %s", pos, c.cf.name, fmt.Sprintf(format, args...))
+	}
+	return errEval(c.err)
 }
 
 func errEval(err error) evalFn {
@@ -199,9 +204,9 @@ func (c *compiler) compileBlock(b *ast.BlockStmt) execFn {
 	}
 }
 
-// tick is the per-statement prologue of the reference execStmt. It must
-// not yield (Runtime.Tick is documented non-yielding), so statement
-// combinators run it only on fresh entry.
+// tick is the per-statement prologue (op count, runtime preemption
+// hook). It must not yield (Runtime.Tick is documented non-yielding), so
+// statement combinators run it only on fresh entry.
 func (p *Proc) tick() {
 	p.Ops++
 	if rt := p.Sim.Runtime; rt != nil {
@@ -619,7 +624,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 
 // compileDecl lowers a local declaration: the slot address comes from the
 // frame arena, initialisers store with full memory timing, and array
-// initialiser lists zero-fill the remainder, all as the reference does.
+// initialiser lists zero-fill the remainder.
 // Units: 1 init eval, 2 init store done, 3 list element (n = index; a
 // leaf-yield at the element store records the next index), 5 zero-fill
 // element (n = next index). Slot addresses are resolved per unit — never
@@ -636,8 +641,8 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 	idx, ok := c.slotIdx[d.Sym]
 	if !ok || d.Type == nil {
 		// A local whose symbol is not in its own function's layout cannot
-		// happen for sema-checked trees; keep the reference behaviour.
-		c.poison = true
+		// happen for sema-checked trees.
+		c.fail(d.Pos(), "local %s has no frame slot", d.Name)
 		return nil
 	}
 	typ := d.Type
@@ -652,8 +657,8 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 	if len(d.InitLst) > 0 {
 		elem = d.Type.Elem
 		if elem == nil {
-			// Aggregate initialiser on a scalar: defer the reference error
-			// to run time (after the tick, like execStmt).
+			// Aggregate initialiser on a scalar: the error is reported at
+			// run time, after the tick and the Init store.
 			err := fmt.Errorf("%s: aggregate initialiser on scalar %s", d.Pos(), d.Name)
 			return func(p *Proc, ret *Value) (ctrl, error) {
 				step := 0
@@ -662,7 +667,7 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 				} else {
 					p.tick()
 				}
-				if init != nil && step <= 1 { // mirrors execStmt order: Init runs first
+				if init != nil && step <= 1 { // Init runs first
 					v, ierr := init(p)
 					if ierr != nil {
 						if ierr == errYield {

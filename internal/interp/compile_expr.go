@@ -64,8 +64,7 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 		x := c.compileExpr(n.X)
 		to := n.To
 		if to == nil {
-			c.poison = true
-			return c.bail()
+			return c.fail(n.Pos(), "cast has no target type")
 		}
 		toInt, toFloat := to.IsInteger(), to.IsFloat()
 		return func(p *Proc) (Value, error) {
@@ -348,7 +347,7 @@ func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 
 // compileIdent resolves an identifier occurrence once: globals to their
 // image address, locals to a frame slot index, functions to their encoded
-// value — the reference engine redoes all of this on every occurrence.
+// value — so no name is re-resolved at run time.
 func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 	if n.Sym == nil {
 		switch n.Name {
@@ -371,8 +370,7 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 	}
 	typ := n.Sym.Type
 	if typ == nil {
-		c.poison = true
-		return c.bail()
+		return c.fail(n.Pos(), "%s has no type", n.Name)
 	}
 	if idx, ok := c.slotIdx[n.Sym]; ok {
 		if typ.Kind == types.Array {
@@ -505,7 +503,7 @@ func (c *compiler) compileLoadOf(lf lvalFn, st *types.Type) evalFn {
 // compileLValue lowers e to an address resolver. The second result is
 // the statically-known stored type when the compiler can prove it (used
 // to specialise index arithmetic); the closure always reports the type
-// it resolved, exactly as the reference evalLValue does.
+// it resolved.
 func (c *compiler) compileLValue(e ast.Expr) (lvalFn, *types.Type) {
 	switch n := e.(type) {
 	case *ast.ParenExpr:
@@ -581,7 +579,7 @@ func (c *compiler) compileIndexLValue(n *ast.IndexExpr) (lvalFn, *types.Type) {
 		if staticT != nil {
 			elem := staticT.Elem
 			if elem == nil {
-				c.poison = true
+				c.fail(n.Pos(), "indexed array has no element type")
 				return nil, nil
 			}
 			elemSize := int64(elem.Size())
@@ -632,8 +630,8 @@ func (c *compiler) compileIndexLValue(n *ast.IndexExpr) (lvalFn, *types.Type) {
 				return base + uint32(iv*elemSize), elem, nil
 			}, elem
 		}
-		// Base type only known at run time (error paths): mirror the
-		// reference flow with the runtime type.
+		// Base type only known at run time (error paths): resolve the
+		// element type from the runtime value.
 		tail := func(p *Proc, base uint32, elem *types.Type) (uint32, *types.Type, error) {
 			v, err := idxFn(p)
 			if err != nil {
@@ -737,7 +735,7 @@ func (c *compiler) compileIndexLValue(n *ast.IndexExpr) (lvalFn, *types.Type) {
 // at compile time whenever the struct type is statically known.
 // Units: 0 base, 1 offset charge (a = base), 2 done.
 func (c *compiler) compileMemberLValue(n *ast.MemberExpr) (lvalFn, *types.Type) {
-	// evalThenErr preserves the reference error flow: evaluate the inner
+	// evalThenErr keeps the error order: evaluate the inner
 	// expression for its effects, then report the structural error.
 	evalThenErr := func(x evalFn, err error) lvalFn {
 		return func(p *Proc) (uint32, *types.Type, error) { // transparent
@@ -784,8 +782,8 @@ func (c *compiler) compileMemberLValue(n *ast.MemberExpr) (lvalFn, *types.Type) 
 	}
 	baseFn, staticT := c.compileLValue(n.X)
 	if staticT == nil {
-		// Inner lvalue type resolves at run time (error paths): replicate
-		// the reference field lookup dynamically.
+		// Inner lvalue type resolves at run time (error paths): look the
+		// field up dynamically.
 		name := n.Name
 		pos := n.Pos()
 		return func(p *Proc) (uint32, *types.Type, error) {
@@ -1085,7 +1083,7 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 		// operands — a suspended apply saved its own outcome); rhsTail
 		// from the RHS (step 2); a store-yield saves the result (step 5).
 		applyTail := func(p *Proc, addr uint32, old, rhs Value) (Value, error) {
-			res, err := p.applyBinaryFast(op, old, rhs, st)
+			res, err := p.applyBinary(op, old, rhs, st)
 			if err != nil {
 				if err == errYield {
 					p.pushK(kframe{step: 3, a: addr})
@@ -1278,7 +1276,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 			}
 			return Value{}, err
 		}
-		v, err := p.applyBinaryFast(op, xv, yv, rt)
+		v, err := p.applyBinary(op, xv, yv, rt)
 		if err == errYield {
 			p.pushK(kframe{step: 2})
 		}
@@ -1291,7 +1289,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 			case 1:
 				return tail(p, fr.v)
 			case 2:
-				return p.applyBinaryFast(op, Value{}, Value{}, rt)
+				return p.applyBinary(op, Value{}, Value{}, rt)
 			}
 		}
 		xv, err := x(p)
@@ -1308,7 +1306,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 			}
 			return Value{}, err
 		}
-		v, err := p.applyBinaryFast(op, xv, yv, rt)
+		v, err := p.applyBinary(op, xv, yv, rt)
 		if err == errYield {
 			p.pushK(kframe{step: 2})
 		}
@@ -1318,8 +1316,8 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 
 // compileCall classifies the call site once — direct (callee resolved to
 // its compiled form), indirect (function-pointer variable), or builtin
-// (runtime dispatch by name, then the interned common-libc subset) — the
-// exact classification evalCall re-derives on every execution. The
+// (runtime dispatch by name, then the interned common-libc subset), so
+// no call re-derives it at run time. The
 // argument arena stays extended across a suspension (evaluated arguments
 // live there), so the frame only records the arena base to re-slice.
 func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
@@ -1381,7 +1379,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 			var v Value
 			var err error
 			if cf != nil {
-				v, err = p.dispatchCall(cf, argv)
+				v, err = p.callCompiled(cf, argv)
 			} else {
 				v, err = builtinTail(p, argv)
 			}
@@ -1426,7 +1424,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 	if fn := pr.Funcs[name]; fn != nil && fn.Body != nil {
 		cf := pr.compiled[fn]
 		invoke := func(p *Proc, base int, argv []Value) (Value, error) {
-			v, err := p.dispatchCall(cf, argv)
+			v, err := p.callCompiled(cf, argv)
 			if err == errYield {
 				p.pushK(kframe{step: 1, a: uint32(base)})
 				return Value{}, err
@@ -1449,7 +1447,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 				}
 				return Value{}, err
 			}
-			v, err := p.dispatchCall(cf, argv)
+			v, err := p.callCompiled(cf, argv)
 			if err == errYield {
 				p.pushK(kframe{step: 1, a: uint32(base)})
 				return Value{}, err

@@ -2,9 +2,12 @@ package interp
 
 import (
 	"os"
+	"regexp"
 	"testing"
 
 	"hsmcc/internal/cc/ast"
+	"hsmcc/internal/cc/parser"
+	"hsmcc/internal/cc/sema"
 	"hsmcc/internal/sccsim"
 )
 
@@ -55,10 +58,6 @@ int main() {
 func TestFrameLayoutOneSlotPerSymbol(t *testing.T) {
 	for name, pr := range layoutPrograms(t) {
 		for _, cf := range pr.compiledList {
-			if cf.fallback {
-				t.Errorf("%s: %s fell back to the tree-walk engine", name, cf.name)
-				continue
-			}
 			seen := map[*ast.Symbol]int{}
 			for _, sd := range cf.slots {
 				if sd.sym == nil {
@@ -71,8 +70,8 @@ func TestFrameLayoutOneSlotPerSymbol(t *testing.T) {
 					t.Errorf("%s: %s: symbol %s has %d slots, want 1", name, cf.name, sym.Name, n)
 				}
 			}
-			// The layout covers the parameters and every declaration the
-			// reference frame walk would allocate.
+			// The layout covers the parameters and every declaration in
+			// the body.
 			want := map[*ast.Symbol]bool{}
 			for _, prm := range cf.decl.Params {
 				if prm.Sym != nil {
@@ -129,13 +128,13 @@ func TestFrameSlotsDoNotOverlap(t *testing.T) {
 		}
 		// Push every function once, then the first twice more (recursion).
 		for _, cf := range pr.compiledList {
-			if cf.decl.Body == nil || cf.fallback {
+			if cf.decl.Body == nil {
 				continue
 			}
 			push(cf)
 		}
 		for _, cf := range pr.compiledList {
-			if cf.decl.Body == nil || cf.fallback {
+			if cf.decl.Body == nil {
 				continue
 			}
 			push(cf)
@@ -145,34 +144,78 @@ func TestFrameSlotsDoNotOverlap(t *testing.T) {
 	}
 }
 
-// TestRecursionEngineParity runs a recursion-heavy program under both
-// engines: identical output and makespan means recursive frames reuse
-// layouts at distinct addresses with identical timing.
+// TestRecursionEngineParity runs a recursion-heavy program and pins its
+// output, makespan and cycle statistics to the digest the compiled and
+// tree-walk engines both produced: recursive frames reuse layouts at
+// distinct addresses with unchanged timing.
 func TestRecursionEngineParity(t *testing.T) {
-	src := `
+	a, err := tryRunMain(`
 int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
 int fact(int n) { int acc = 1; if (n > 1) acc = n * fact(n - 1); return acc; }
-int main() { printf("%d %d\n", fib(17), fact(10)); return 0; }`
-	run := func(e Engine) (*Sim, error) {
-		old := DefaultEngine
-		DefaultEngine = e
-		defer func() { DefaultEngine = old }()
-		return tryRunMain(src)
-	}
-	a, err := run(EngineCompiled)
+int main() { printf("%d %d\n", fib(17), fact(10)); return 0; }`)
 	if err != nil {
-		t.Fatalf("compiled: %v", err)
-	}
-	b, err := run(EngineTreeWalk)
-	if err != nil {
-		t.Fatalf("tree-walk: %v", err)
-	}
-	if a.Output() != b.Output() || a.Makespan() != b.Makespan() {
-		t.Fatalf("engines diverge: %q/%d vs %q/%d", a.Output(), a.Makespan(), b.Output(), b.Makespan())
+		t.Fatal(err)
 	}
 	if a.Output() != "1597 3628800\n" {
 		t.Fatalf("wrong answer: %q", a.Output())
 	}
 	verifySim(t, "TestRecursionEngineParity", a)
-	verifySim(t, "TestRecursionEngineParity", b)
+}
+
+// TestLoadRejectsUnloweredTrees hand-breaks sema-checked trees in the
+// two ways a checked tree never is — a cast with no target type and a
+// local with no type — and requires Load to fail with an error naming
+// the function instead of panicking or producing a runnable Program.
+func TestLoadRejectsUnloweredTrees(t *testing.T) {
+	const src = `
+int helper(int n) { int k = n; return (int)(k + 1); }
+int main() { return helper(2); }`
+	cases := []struct {
+		name   string
+		mutate func(n ast.Node) bool
+	}{
+		{"nil cast type", func(n ast.Node) bool {
+			if c, ok := n.(*ast.CastExpr); ok {
+				c.To = nil
+				return true
+			}
+			return false
+		}},
+		{"nil local type", func(n ast.Node) bool {
+			if d, ok := n.(*ast.DeclStmt); ok {
+				d.Decl.Type = nil
+				return true
+			}
+			return false
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			file, err := parser.Parse("broken.c", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := sema.Analyze(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			broken := false
+			ast.Inspect(file.Funcs()[0].Body, func(n ast.Node) bool {
+				if !broken && c.mutate(n) {
+					broken = true
+				}
+				return !broken
+			})
+			if !broken {
+				t.Fatal("no node to break")
+			}
+			pr, err := Load(file, info)
+			if err == nil {
+				t.Fatalf("Load accepted the broken tree (program %v)", pr != nil)
+			}
+			if !regexp.MustCompile(`^interp: \d+:\d+: in helper: `).MatchString(err.Error()) {
+				t.Errorf("error %q does not name the position and function helper", err)
+			}
+		})
+	}
 }

@@ -9,17 +9,15 @@ import (
 	"hsmcc/internal/cc/types"
 )
 
-// The coroutine execution core. Under the compiled engine, execution
-// contexts are stackless coroutines stepped from one plain loop on the
-// caller's goroutine: a yield point (memory-op cadence, clock-skew
-// horizon, RCCE/pthread blocking) unwinds the compiled-closure stack
-// with the errYield sentinel while every closure on the path pushes an
-// explicit resumption frame, and the scheduler loop later re-enters the
-// context from the top, each closure popping its frame and jumping
-// straight back to the suspended child. No goroutines are created and
-// no channel is touched on any context switch; the tree-walk reference
-// engine keeps the original goroutine-per-context blocking scheduler
-// behind the HSMCC_ENGINE seam.
+// The coroutine execution core. Execution contexts are stackless
+// coroutines stepped from one plain loop on the caller's goroutine: a
+// yield point (memory-op cadence, clock-skew horizon, RCCE/pthread
+// blocking) unwinds the compiled-closure stack with the errYield
+// sentinel while every closure on the path pushes an explicit
+// resumption frame, and the scheduler loop later re-enters the context
+// from the top, each closure popping its frame and jumping straight back
+// to the suspended child. No goroutines are created and no channel is
+// touched on any context switch.
 //
 // Frame discipline (the whole protocol):
 //
@@ -206,11 +204,15 @@ func (p *Proc) PopResume() (int, any) {
 	return fr.step, fr.x
 }
 
-// yieldCoro suspends a coroutine-mode context: it stays runnable, the
-// next context is elected with exactly one policy call (matching the
-// goroutine engine's Yield), and when the policy re-elects the yielder
-// the suspension is skipped entirely — no unwind, no frames.
-func (p *Proc) yieldCoro() error {
+// Yield cooperatively gives up the processor while staying runnable.
+// The next context is elected with exactly one policy call; when the
+// policy re-elects the yielder — the common case under both the
+// round-robin baseline (within a quantum) and min-clock once a context
+// owns the smallest time — the suspension is skipped entirely (no
+// unwind, no frames) and Yield returns nil. Otherwise it returns the
+// yield sentinel, which the caller propagates (pushing its resumption
+// frame) to the stepping loop.
+func (p *Proc) Yield() error {
 	p.State = Runnable
 	p.lastYield = p.Clock
 	s := p.Sim
@@ -227,9 +229,10 @@ func (p *Proc) yieldCoro() error {
 	return errYield
 }
 
-// blockCoro parks a coroutine-mode context until Unblock; the caller's
-// builtin resumes after its Block call once re-elected.
-func (p *Proc) blockCoro() error {
+// Block parks the context until another context calls Unblock. It
+// always returns the yield sentinel; the caller's builtin resumes after
+// its Block call once re-elected.
+func (p *Proc) Block() error {
 	p.State = Blocked
 	p.lastYield = p.Clock
 	if p.trace != nil {
@@ -240,23 +243,21 @@ func (p *Proc) blockCoro() error {
 	return errYield
 }
 
-// runCoro is the coroutine scheduler: a plain loop that steps whichever
-// context the policy elects until everything is done, something
-// deadlocks, or a context fails. The policy call sequence is identical
-// to the goroutine engine's handoff chain — one Next per yield, block
-// or exit — so stateful policies (round-robin quanta, many-to-one
-// core multiplexing) observe the exact same transitions.
-func (s *Sim) runCoro() error {
+// Run executes the session to completion and returns the first runtime
+// error, if any. It is the coroutine scheduler: a plain loop that steps
+// whichever context the policy elects until everything is done,
+// something deadlocks, or a context fails. The policy sees one Next call
+// per yield, block or exit, so stateful policies (round-robin quanta,
+// many-to-one core multiplexing) observe every transition.
+func (s *Sim) Run() error {
 	next := s.pickNext()
 	for next != nil {
 		next.State = Running
 		if next.trace != nil {
-			// The goroutine engine fires the same hook in handoff, the
-			// same Runnable→Running edge with the same clock.
 			next.trace.TraceResume(next.ID, next.Core, next.Clock)
 		}
 		s.elected, s.electedValid = nil, false
-		finished := next.stepCoro()
+		finished := next.step()
 		if s.err != nil {
 			break
 		}
@@ -267,8 +268,8 @@ func (s *Sim) runCoro() error {
 		if s.electedValid {
 			next = s.elected
 		} else {
-			// A context must suspend through yieldCoro/blockCoro, which
-			// always elect a successor; reaching here is a protocol bug.
+			// A context must suspend through Yield or Block, which always
+			// elect a successor; reaching here is a protocol bug.
 			s.fail(fmt.Errorf("interp: context %d suspended without electing a successor", next.ID))
 			break
 		}
@@ -282,21 +283,15 @@ func (s *Sim) runCoro() error {
 	return fmt.Errorf("interp: deadlock: %s", s.stateSummary())
 }
 
-// stepCoro enters or resumes a context and runs it to its next
-// suspension point; true means the context finished (bookkeeping done).
-// The root callee is resolved once at spawn, so a resume costs no map
-// lookup before the re-descent.
-func (p *Proc) stepCoro() bool {
+// step enters or resumes a context and runs it to its next suspension
+// point; true means the context finished (bookkeeping done). The root
+// callee is resolved once at spawn, so a resume costs no map lookup
+// before the re-descent.
+func (p *Proc) step() bool {
 	if len(p.kstack) > 0 {
 		p.coResuming = true
 	}
-	var v Value
-	var err error
-	if cf := p.rootCF; cf != nil {
-		v, err = p.callCompiled(cf, p.args)
-	} else {
-		v, err = p.call(p.fn, p.args)
-	}
+	v, err := p.callCompiled(p.rootCF, p.args)
 	if err == errYield {
 		return false
 	}
@@ -304,13 +299,12 @@ func (p *Proc) stepCoro() bool {
 	return true
 }
 
-// procScratch bundles every growable per-context buffer of the compiled
-// engine so one pool hit at spawn replaces seven warm-up allocations
-// (the resumption stacks, the activation arenas and the 6 KB per-depth
-// return arena). Contexts churn — a matrix cell spawns and finishes
-// hundreds — while the buffers' high-water marks are workload constants,
-// so recycling makes a whole sweep allocate O(live contexts) once
-// instead of O(spawns). The pool is package-level on purpose: parallel
+// procScratch bundles every growable per-context buffer so one pool hit
+// at spawn replaces seven warm-up allocations (the resumption stacks,
+// the activation arenas and the 6 KB per-depth return arena). Contexts
+// churn — a matrix cell spawns and finishes hundreds — while the
+// buffers' high-water marks are workload constants, so recycling makes
+// a whole sweep allocate O(live contexts) once instead of O(spawns). The pool is package-level on purpose: parallel
 // grid workers and repeated cells all feed the same free list
 // (sync.Pool is concurrency-safe and GC-bounded).
 type procScratch struct {
@@ -378,8 +372,8 @@ func (p *Proc) releaseScratch() {
 	scratchPool.Put(sc)
 }
 
-// finish is the context completion path shared by both engines: record
-// the result, recycle the stack slot, wake joiners.
+// finish is the context completion path: record the result, recycle the
+// stack slot, wake joiners.
 func (p *Proc) finish(v Value, err error) {
 	switch err {
 	case nil, errThreadExit:

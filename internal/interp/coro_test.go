@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"runtime"
 	"testing"
 
 	"hsmcc/internal/sccsim"
@@ -21,56 +22,34 @@ int main() {
   return 0;
 }`
 
-// TestCoroutineModeEngaged pins the mode decision: a fully-compiled
-// program under the compiled engine runs as coroutines; the tree-walk
-// reference keeps the goroutine scheduler.
+// TestCoroutineModeEngaged runs the kernel as coroutines on the calling
+// goroutine — no goroutine is started for any context — and pins its
+// output, makespan and cycle statistics to the digest the compiled and
+// tree-walk engines both produced.
 func TestCoroutineModeEngaged(t *testing.T) {
 	pr, err := Compile("c.c", coroProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr.FullyCompiled() {
-		t.Fatal("kernel should compile fully")
-	}
 	sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
-	sim.Engine = EngineCompiled
+	before := runtime.NumGoroutine()
 	if _, err := sim.Spawn(0, pr.Funcs["main"], nil, 0); err != nil {
 		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("spawn started goroutines: %d -> %d", before, n)
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !sim.Coroutine() {
-		t.Error("compiled engine on a fully-compiled program should run coroutines")
-	}
-
-	ref := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
-	ref.Engine = EngineTreeWalk
-	if _, err := ref.Spawn(0, pr.Funcs["main"], nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ref.Coroutine() {
-		t.Error("tree-walk engine must not run coroutines")
-	}
-	if sim.Output() != ref.Output() {
-		t.Errorf("engine outputs differ: %q vs %q", sim.Output(), ref.Output())
-	}
-	if sim.Makespan() != ref.Makespan() {
-		t.Errorf("engine makespans differ: %d vs %d", sim.Makespan(), ref.Makespan())
-	}
 	verifySim(t, "TestCoroutineModeEngaged", sim)
-	verifySim(t, "TestCoroutineModeEngaged", ref)
 }
 
 // TestCoroutineFallOffEndReturn pins the return-cell arena against the
 // resume-depth bug: a function that suspends inside a nested call and
 // then completes WITHOUT a value-returning return statement must yield
-// the zero Value, exactly like the tree-walk reference — not whatever
-// the nested call left in the arena. Needs two contexts so the yields
-// actually suspend.
+// the zero Value — not whatever the nested call left in the arena. Needs
+// two contexts so the yields actually suspend.
 func TestCoroutineFallOffEndReturn(t *testing.T) {
 	pr, err := Compile("f.c", `
 int a[64];
@@ -88,33 +67,23 @@ int worker(int me) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(e Engine) *Sim {
-		sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
-		sim.Engine = e
-		for core := 0; core < 2; core++ {
-			if _, err := sim.Spawn(core, pr.Funcs["worker"], []Value{IntValue(nil, int64(core))}, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sim.Run(); err != nil {
+	sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
+	for core := 0; core < 2; core++ {
+		if _, err := sim.Spawn(core, pr.Funcs["worker"], []Value{IntValue(nil, int64(core))}, 0); err != nil {
 			t.Fatal(err)
 		}
-		return sim
 	}
-	coro := run(EngineCompiled)
-	if !coro.Coroutine() {
-		t.Fatal("expected coroutine mode")
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
 	}
-	ref := run(EngineTreeWalk)
-	if coro.Output() != ref.Output() {
-		t.Errorf("fall-off-the-end return diverged:\ncoroutine:\n%s\ntree-walk:\n%s", coro.Output(), ref.Output())
+	if want := "v0 0\nv1 0\n"; sim.Output() != want {
+		t.Errorf("fall-off-the-end return = %q, want %q", sim.Output(), want)
 	}
-	verifySim(t, "TestCoroutineFallOffEndReturn", coro)
-	verifySim(t, "TestCoroutineFallOffEndReturn", ref)
+	verifySim(t, "TestCoroutineFallOffEndReturn", sim)
 }
 
 // TestSchedulerParityHeapVsLinearCoroutine pins the min-clock heap
-// against the linear-scan oracle under the coroutine engine: multiple
+// against the linear-scan oracle: multiple
 // contexts interleaving through yields must produce byte-identical
 // output and identical per-context clocks with either policy.
 func TestSchedulerParityHeapVsLinearCoroutine(t *testing.T) {
@@ -132,7 +101,6 @@ int worker(int me) {
 	}
 	run := func(pol Policy) (*Sim, error) {
 		sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
-		sim.Engine = EngineCompiled
 		sim.Policy = pol
 		for core := 0; core < 4; core++ {
 			if _, err := sim.Spawn(core, pr.Funcs["worker"], []Value{IntValue(nil, int64(core))}, 0); err != nil {
@@ -144,9 +112,6 @@ int worker(int me) {
 	heap, err := run(NewMinClockHeap())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !heap.Coroutine() {
-		t.Fatal("expected coroutine mode")
 	}
 	linear, err := run(MinClock{})
 	if err != nil {

@@ -132,7 +132,9 @@ func boolToInt(b bool) int32 {
 	return 0
 }
 
-// TestRecursionDepthLimit: runaway recursion is reported, not a Go crash.
+// TestRecursionDepthLimit: runaway recursion is reported, not a Go
+// crash, and trips at exactly maxCallDepth frames (main plus 255 calls
+// of down).
 func TestRecursionDepthLimit(t *testing.T) {
 	_, err := tryRunMain(`
 int down(int n) { return down(n + 1); }
@@ -140,11 +142,14 @@ int main() { return down(0); }`)
 	if err == nil {
 		t.Fatal("infinite recursion not caught")
 	}
+	if want := "call depth exceeds 256 in down"; !contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
 }
 
 // TestDeadlockDetected: a context blocking forever is a scheduler error,
 // not a hang. The block happens through a runtime builtin — the
-// supported suspension path in both engines (Tick must not block).
+// supported suspension path (Tick must not block).
 func TestDeadlockDetected(t *testing.T) {
 	pr, err := Compile("d.c", "int park(); int main() { park(); return 0; }")
 	if err != nil {

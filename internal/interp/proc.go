@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/types"
 	"hsmcc/internal/sccsim"
 )
@@ -33,16 +32,10 @@ type Proc struct {
 	// stores the quantum start here).
 	Slice sccsim.Time
 
-	fn *ast.FuncDecl
-	// rootCF is fn's compiled form, resolved at spawn for coroutine
-	// contexts so every resume skips the map lookup.
-	rootCF *compiledFunc
-	args   []Value
-	// resume is the goroutine-mode wakeup channel; coroutine-mode
-	// contexts have no goroutine and leave it nil.
-	resume chan struct{}
-
-	frames    []*frame
+	// rootCF is the entry function's compiled form, resolved at spawn so
+	// every resume skips the map lookup.
+	rootCF    *compiledFunc
+	args      []Value
 	stackIdx  int
 	stackTop  uint32
 	stackPtr  uint32
@@ -50,10 +43,10 @@ type Proc struct {
 	lastYield sccsim.Time
 	buf       [8]byte
 
-	// Compiled-engine state: activation records index into the slotMem
-	// arena (cfp is the running frame's base), and argArena is the
-	// stack-disciplined scratch space for call arguments. Both amortise
-	// to zero allocations per call.
+	// Activation records index into the slotMem arena (cfp is the
+	// running frame's base), and argArena is the stack-disciplined
+	// scratch space for call arguments. Both amortise to zero
+	// allocations per call.
 	cframes  []cframe
 	slotMem  []uint32
 	cfp      int
@@ -71,8 +64,8 @@ type Proc struct {
 	kxs        []any
 	kscratch   kframe
 	coResuming bool
-	// scratch is the pooled bundle the buffers above came from (nil in
-	// goroutine mode); finish returns it for the next spawn.
+	// scratch is the pooled bundle the buffers above came from; finish
+	// returns it for the next spawn.
 	scratch *procScratch
 	// timer is the machine's cycle-to-time handle for this context's
 	// core (stable across DVFS changes).
@@ -90,13 +83,6 @@ type Proc struct {
 	// Stats.
 	Ops   uint64 // executed statements
 	Calls uint64
-}
-
-// frame is one activation record.
-type frame struct {
-	fn    *ast.FuncDecl
-	slots map[*ast.Symbol]uint32
-	saved uint32 // stack pointer to restore
 }
 
 // ---------------------------------------------------------------------------
@@ -130,9 +116,8 @@ func (p *Proc) chargeCycles(n int) error {
 // locking: the scheduler runs one context of a session at a time.
 // Each access is reported exactly once, before any cooperative yield
 // propagates (the coroutine leaf convention: the access has completed
-// and is never re-issued on resume), so counters are byte-identical
-// across the tree-walk and coroutine engines. A nil profiler — the
-// default — costs a single pointer check per access.
+// and is never re-issued on resume), so no access is counted twice. A
+// nil profiler — the default — costs a single pointer check per access.
 type MemProfiler interface {
 	NoteAccess(core int, addr uint32, write bool)
 }
@@ -210,22 +195,8 @@ func (p *Proc) storeValue(addr uint32, t *types.Type, v Value) error {
 }
 
 // ---------------------------------------------------------------------------
-// Address resolution
+// Private heap
 // ---------------------------------------------------------------------------
-
-// addrOfSymbol finds a variable's address: innermost frame slot first,
-// then the globals image.
-func (p *Proc) addrOfSymbol(sym *ast.Symbol) (uint32, bool) {
-	if len(p.frames) > 0 {
-		if a, ok := p.frames[len(p.frames)-1].slots[sym]; ok {
-			return a, true
-		}
-	}
-	if a, ok := p.Sim.Program.GlobalAddr(sym); ok {
-		return a, true
-	}
-	return 0, false
-}
 
 // heapAlloc bump-allocates n bytes from the core's private heap.
 func (p *Proc) heapAlloc(n int) uint32 {
@@ -237,68 +208,17 @@ func (p *Proc) heapAlloc(n int) uint32 {
 	return addr
 }
 
-// pushFrame allocates the activation record for fn: one aligned stack
-// slot per parameter and per local declaration anywhere in the body
-// (slots are assigned once, like a compiled frame).
-func (p *Proc) pushFrame(fn *ast.FuncDecl) (*frame, error) {
-	if len(p.frames)+len(p.cframes) >= maxCallDepth {
-		return nil, fmt.Errorf("call depth exceeds %d in %s", maxCallDepth, fn.Name)
-	}
-	fr := &frame{fn: fn, slots: make(map[*ast.Symbol]uint32), saved: p.stackPtr}
-	sp := p.stackPtr
-	alloc := func(sym *ast.Symbol, t *types.Type) {
-		size := uint32(t.Size())
-		if size == 0 {
-			size = 4
-		}
-		a := uint32(t.Align())
-		if a == 0 {
-			a = 4
-		}
-		sp -= size
-		sp &^= a - 1
-		fr.slots[sym] = sp
-	}
-	for _, prm := range fn.Params {
-		if prm.Sym != nil {
-			alloc(prm.Sym, prm.Type)
-		}
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeclStmt); ok && d.Decl.Sym != nil {
-			alloc(d.Decl.Sym, d.Decl.Type)
-		}
-		return true
-	})
-	if p.stackTop-sp > StackBytes {
-		return nil, fmt.Errorf("stack overflow in %s", fn.Name)
-	}
-	p.stackPtr = sp
-	p.frames = append(p.frames, fr)
-	return fr, nil
-}
-
-func (p *Proc) popFrame() {
-	fr := p.frames[len(p.frames)-1]
-	p.frames = p.frames[:len(p.frames)-1]
-	p.stackPtr = fr.saved
-}
-
 // ---------------------------------------------------------------------------
-// Compiled-engine frames and calls
+// Frames and calls
 // ---------------------------------------------------------------------------
 
 // slotAddr returns the address of slot idx in the running compiled frame.
 func (p *Proc) slotAddr(idx int) uint32 { return p.slotMem[p.cfp+idx] }
 
-// pushCFrame materialises cf's precomputed layout: the same subtract-and-
-// align walk pushFrame performs, but over a resolved slot list instead of
-// a fresh AST inspection, into a reused arena instead of a fresh map.
+// pushCFrame materialises cf's precomputed layout: one subtract-and-align
+// per slot over the resolved slot list, into a reused arena.
 func (p *Proc) pushCFrame(cf *compiledFunc) error {
-	// Depth counts frames of both engines: a compiled caller can recurse
-	// through a fallback (tree-walk) callee and vice versa, and the limit
-	// must trip at the same combined depth either way.
-	if len(p.cframes)+len(p.frames) >= maxCallDepth {
+	if len(p.cframes) >= maxCallDepth {
 		return fmt.Errorf("call depth exceeds %d in %s", maxCallDepth, cf.name)
 	}
 	base := len(p.slotMem)
@@ -330,20 +250,11 @@ func (p *Proc) popCFrame() {
 	}
 }
 
-// dispatchCall routes a resolved callee: compiled body, or the tree-walk
-// reference for functions the compiler refused (goroutine mode only; a
-// coroutine session requires a fully-compiled program).
-func (p *Proc) dispatchCall(cf *compiledFunc, args []Value) (Value, error) {
-	if cf.fallback {
-		return p.callTree(cf.decl, args)
-	}
-	return p.callCompiled(cf, args)
-}
-
-// callCompiled is the compiled twin of callTree: identical cycle charges,
-// identical timed parameter stores, no per-call allocation. Resumable at
-// every suspension point: after the call charge (1), between parameter
-// stores (2), inside the body (3) and after the return charge (4).
+// callCompiled calls a compiled function: the call charge, the timed
+// parameter stores, the body and the return charge, with no per-call
+// allocation. Resumable at every suspension point: after the call charge
+// (1), between parameter stores (2), inside the body (3) and after the
+// return charge (4).
 func (p *Proc) callCompiled(cf *compiledFunc, args []Value) (Value, error) {
 	if cf.body == nil {
 		return Value{}, fmt.Errorf("call of undefined function %s", cf.name)
@@ -465,7 +376,7 @@ func (p *Proc) runCompiledBodyAt(cf *compiledFunc, depth int) (Value, error) {
 }
 
 // evalCompiledArgs evaluates call arguments into the Proc's argument
-// arena, charging one ALU cycle per argument push as evalArgs does. The
+// arena, charging one ALU cycle per argument push. The
 // caller truncates the arena back to base when the call returns; builtins
 // receive the arena-backed slice and must not retain it (none do). On a
 // yield the arena stays extended — evaluated arguments live there across

@@ -48,15 +48,7 @@ type Program struct {
 	// function values decode to their compiled form without a map lookup.
 	compiled     map[*ast.FuncDecl]*compiledFunc
 	compiledList []*compiledFunc
-	// fullyCompiled reports that no function poisoned back to the
-	// tree-walk reference; only then can a session run its contexts as
-	// stackless coroutines (the tree-walk can only block on a goroutine).
-	fullyCompiled bool
 }
-
-// FullyCompiled reports whether every defined function lowered to the
-// compiled form — the precondition for the coroutine execution core.
-func (pr *Program) FullyCompiled() bool { return pr.fullyCompiled }
 
 // FuncValue returns the value encoding of a defined function.
 func (pr *Program) FuncValue(fn *ast.FuncDecl) Value {
@@ -89,7 +81,9 @@ func (pr *Program) compiledByValue(v Value) *compiledFunc {
 // GlobalsBase is where the globals segment starts in private memory.
 const GlobalsBase = sccsim.PrivateBase
 
-// Load lays out a checked file into a Program.
+// Load lays out a checked file into a Program and compiles every
+// function. A tree the compiler cannot lower fails with a positioned
+// error naming the function.
 func Load(file *ast.File, info *sema.Info) (*Program, error) {
 	pr := &Program{
 		File:        file,
@@ -133,7 +127,9 @@ func Load(file *ast.File, info *sema.Info) (*Program, error) {
 		return true
 	})
 	pr.ImageEnd = align(cursor, 8)
-	compileProgram(pr)
+	if err := compileProgram(pr); err != nil {
+		return nil, err
+	}
 	return pr, nil
 }
 
@@ -236,7 +232,7 @@ func constValue(e ast.Expr, want *types.Type) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return foldBinary(n.Op, x, y)
+		return foldBinary(n.Op, x, y, nil)
 	case *ast.CastExpr:
 		v, err := constValue(n.X, n.To)
 		if err != nil {

@@ -3,7 +3,6 @@ package interp
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"hsmcc/internal/cc/ast"
@@ -25,25 +24,6 @@ const (
 // proc is Runnable.
 type Policy interface {
 	Next(procs []*Proc) *Proc
-}
-
-// MinClock schedules the runnable context with the smallest virtual time
-// (ties broken by lowest ID): the policy for multi-core RCCE execution,
-// which keeps cross-core memory events approximately time-ordered.
-type MinClock struct{}
-
-// Next implements Policy.
-func (MinClock) Next(procs []*Proc) *Proc {
-	var best *Proc
-	for _, p := range procs {
-		if p.State != Runnable {
-			continue
-		}
-		if best == nil || p.Clock < best.Clock || (p.Clock == best.Clock && p.ID < best.ID) {
-			best = p
-		}
-	}
-	return best
 }
 
 // Runtime supplies the environment-specific builtins (pthread or RCCE)
@@ -82,18 +62,15 @@ type Sim struct {
 	Program *Program
 	Runtime Runtime
 	Policy  Policy
-	// Engine selects the execution engine (compiled by default; the
-	// tree-walk reference for golden comparisons). Set before Spawn.
-	Engine Engine
 	// Prof, when non-nil, observes every timed data-memory access of the
 	// session (see MemProfiler). Set before Spawn; profiling runs attach
 	// a profile.Collector here, everything else leaves it nil.
 	Prof MemProfiler
 	// Cancel, when non-nil, is polled at every scheduling decision (one
-	// call per context switch, both engines). A non-nil return aborts
-	// the session promptly with that error: in-flight contexts unwind,
-	// Run returns the error, and no further work is scheduled. The
-	// serving layer wires a request context's Err here so a wall-clock
+	// call per context switch). A non-nil return aborts the session
+	// promptly with that error: in-flight contexts unwind, Run returns
+	// the error, and no further work is scheduled. The serving layer
+	// wires a request context's Err here so a wall-clock
 	// deadline or client disconnect stops a simulation mid-flight.
 	Cancel func() error
 	// Trace, when non-nil, observes every scheduling event of the
@@ -115,23 +92,11 @@ type Sim struct {
 	doneMax sccsim.Time
 	done    int // finished contexts still in procs
 	err     error
-	halted  bool
-	// coro is true when contexts run as stackless coroutines stepped by
-	// runCoro (the compiled engine on a fully-compiled program); false
-	// runs the goroutine-per-context handoff chain (tree-walk reference,
-	// or a program with compiler-poisoned functions). Fixed at the first
-	// Spawn, when the engine choice is final.
-	coro    bool
-	modeSet bool
-	// elected carries the successor chosen by a suspending coroutine to
+	// elected carries the successor chosen by a suspending context to
 	// the stepping loop, so each scheduling event makes exactly one
-	// Policy.Next call in both modes.
+	// Policy.Next call.
 	elected      *Proc
 	electedValid bool
-	// ctrl wakes Run when a goroutine-mode session finishes (all done,
-	// deadlock, or error). Contexts hand off to each other directly; Run
-	// only sees the first dispatch and the final signal.
-	ctrl chan struct{}
 }
 
 // NewSim builds a session. The runtime must be attached by the caller
@@ -141,32 +106,14 @@ func NewSim(m *sccsim.Machine, pr *Program) *Sim {
 		Machine:    m,
 		Program:    pr,
 		Policy:     NewMinClockHeap(),
-		Engine:     DefaultEngine,
 		heaps:      make(map[int]uint32),
 		stacks:     make(map[int]int),
 		freeStacks: make(map[int][]int),
-		ctrl:       make(chan struct{}, 1),
 	}
 }
 
 // Procs returns the spawned contexts.
 func (s *Sim) Procs() []*Proc { return s.procs }
-
-// Coroutine reports whether the session runs contexts as stackless
-// coroutines (no goroutine, no channel op per context switch).
-func (s *Sim) Coroutine() bool { return s.coro }
-
-// decideMode fixes the execution mode at the first Spawn: coroutines
-// need every function in compiled form (a poisoned function would have
-// to block inside the tree-walk, which only the goroutine engine can).
-func (s *Sim) decideMode() {
-	if s.modeSet {
-		return
-	}
-	s.modeSet = true
-	s.Engine = s.Engine.Resolve()
-	s.coro = s.Engine != EngineTreeWalk && s.Program.FullyCompiled()
-}
 
 // Spawn creates an execution context on core that will run fn(args) when
 // first scheduled, starting at virtual time start. The program image is
@@ -176,7 +123,10 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	if core < 0 || core >= s.Machine.Cores() {
 		return nil, fmt.Errorf("interp: spawn on core %d of %d", core, s.Machine.Cores())
 	}
-	s.decideMode()
+	cf := s.Program.compiled[fn]
+	if cf == nil {
+		return nil, fmt.Errorf("interp: spawn of a function outside the program")
+	}
 	if _, loaded := s.heaps[core]; !loaded {
 		if err := s.Program.instantiate(s.Machine, core); err != nil {
 			return nil, err
@@ -202,7 +152,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 		Clock:    start,
 		State:    Runnable,
 		stackIdx: idx,
-		fn:       fn,
+		rootCF:   cf,
 		args:     args,
 		prof:     s.Prof,
 		trace:    s.Trace,
@@ -216,68 +166,20 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	if p.trace != nil {
 		p.trace.TraceSpawn(p.ID, p.Core, start)
 	}
-	if s.coro {
-		// Adopt pooled buffers: the resumption stack comes pre-reserved
-		// (growth inside an unwind would add allocation noise to the hot
-		// switch path) and a recycled bundle carries every arena at its
-		// previous high-water capacity, so steady-state spawns allocate
-		// nothing.
-		p.adoptScratch()
-		if cf := s.Program.compiled[fn]; cf != nil && !cf.fallback {
-			p.rootCF = cf
-		}
-	} else {
-		p.resume = make(chan struct{})
-		go p.top()
-	}
+	// Adopt pooled buffers: the resumption stack comes pre-reserved
+	// (growth inside an unwind would add allocation noise to the hot
+	// switch path) and a recycled bundle carries every arena at its
+	// previous high-water capacity, so steady-state spawns allocate
+	// nothing.
+	p.adoptScratch()
 	return p, nil
 }
 
-// Run executes the session to completion and returns the first runtime
-// error, if any. Coroutine sessions step contexts from a plain loop on
-// the calling goroutine; goroutine-mode sessions start the handoff
-// chain — contexts pick their successor and resume it directly, and a
-// context that reschedules itself performs no channel operation at all.
-func (s *Sim) Run() error {
-	s.decideMode()
-	if s.coro {
-		return s.runCoro()
-	}
-	defer s.stopAll()
-	s.handoff(s.pickNext())
-	<-s.ctrl
-	if s.err != nil {
-		return s.err
-	}
-	if s.allDone() {
-		return nil
-	}
-	return fmt.Errorf("interp: deadlock: %s", s.stateSummary())
-}
-
-// handoff transfers control to next (resuming its goroutine), or signals
-// Run that nothing is runnable. Exactly one goroutine holds control at a
-// time; every transfer is a single channel send.
-func (s *Sim) handoff(next *Proc) {
-	if next == nil {
-		s.ctrl <- struct{}{}
-		return
-	}
-	next.State = Running
-	if next.trace != nil {
-		// The coroutine stepping loop fires the same hook at the same
-		// Runnable→Running edge, after the policy's clock adjustments.
-		next.trace.TraceResume(next.ID, next.Core, next.Clock)
-	}
-	next.resume <- struct{}{}
-}
-
 // pickNext compacts if due and asks the policy for the next context.
-// It is the single choke point every scheduling decision of both
-// engines passes through, so it also polls the session's Cancel hook:
-// on cancellation it records the error and elects nobody, which makes
-// the goroutine engine signal Run (stopAll then unwinds the parked
-// contexts) and the coroutine stepping loop fall out of its loop.
+// It is the single choke point every scheduling decision passes
+// through, so it also polls the session's Cancel hook: on cancellation
+// it records the error and elects nobody, which makes the Run stepping
+// loop fall out of its loop.
 func (s *Sim) pickNext() *Proc {
 	if s.Cancel != nil && s.err == nil {
 		if err := s.Cancel(); err != nil {
@@ -358,93 +260,11 @@ func (s *Sim) stateSummary() string {
 	return buf
 }
 
-// stopAll terminates any still-live context goroutines (error paths).
-func (s *Sim) stopAll() {
-	s.halted = true
-	for _, p := range s.procs {
-		if p.State != Done && p.resume != nil {
-			close(p.resume)
-		}
-	}
-}
-
 // fail records the first runtime error.
 func (s *Sim) fail(err error) {
 	if s.err == nil {
 		s.err = err
 	}
-}
-
-// top is the context goroutine body (goroutine mode only).
-func (p *Proc) top() {
-	if !p.acquire() {
-		return
-	}
-	v, err := p.call(p.fn, p.args)
-	p.finish(v, err)
-	s := p.Sim
-	if s.err != nil {
-		// The session stops on the first error without scheduling more
-		// work, as the original run loop did.
-		s.ctrl <- struct{}{}
-		return
-	}
-	s.handoff(s.pickNext())
-}
-
-// acquire waits to be scheduled; false means the session was torn down.
-func (p *Proc) acquire() bool {
-	_, ok := <-p.resume
-	if !ok {
-		runtime.Goexit()
-	}
-	return ok
-}
-
-// Yield cooperatively gives up the processor while staying runnable.
-// When the policy re-elects the yielding context — the common case under
-// both the round-robin baseline (within a quantum) and min-clock once a
-// context owns the smallest time — control returns without suspending at
-// all. In goroutine mode the call blocks until re-elected and returns
-// nil; in coroutine mode it returns the yield sentinel, which the caller
-// propagates (pushing its resumption frame) to the stepping loop.
-func (p *Proc) Yield() error {
-	if p.Sim.coro {
-		return p.yieldCoro()
-	}
-	p.State = Runnable
-	p.lastYield = p.Clock
-	s := p.Sim
-	s.noteRunnable(p)
-	next := s.pickNext()
-	if next == p {
-		p.State = Running
-		return nil
-	}
-	if p.trace != nil {
-		p.trace.TraceSuspend(p.ID, p.Core, p.Clock, SuspendYield, ReasonNone)
-	}
-	s.handoff(next)
-	p.acquire()
-	return nil
-}
-
-// Block parks the context until another context calls Unblock. The same
-// mode split as Yield applies: goroutine mode blocks and returns nil,
-// coroutine mode returns the yield sentinel to propagate.
-func (p *Proc) Block() error {
-	if p.Sim.coro {
-		return p.blockCoro()
-	}
-	p.State = Blocked
-	p.lastYield = p.Clock
-	if p.trace != nil {
-		p.trace.TraceSuspend(p.ID, p.Core, p.Clock, SuspendBlock, p.takeBlockReason())
-	}
-	s := p.Sim
-	s.handoff(s.pickNext())
-	p.acquire()
-	return nil
 }
 
 // Unblock makes a parked context runnable again, advancing its clock to

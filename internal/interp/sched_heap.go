@@ -11,12 +11,14 @@ type runnableNotifier interface {
 	NoteRunnable(p *Proc)
 }
 
-// MinClockHeap is the indexed form of MinClock: an intrusive min-heap
-// keyed on (Clock, ID), updated on state transitions, replacing the O(n)
+// MinClockHeap schedules the runnable context with the smallest virtual
+// time (ties broken by lowest ID): the policy for multi-core RCCE
+// execution, which keeps cross-core memory events approximately
+// time-ordered. It is an intrusive min-heap keyed on (Clock, ID), updated on state transitions, replacing the O(n)
 // scan per scheduling decision. Entries are invalidated lazily — a
 // context's stale entries (from before its clock advanced) are discarded
 // at pop time, which keeps every update O(log n) with no delete-by-key.
-// MinClock (the linear scan) is retained as the test oracle; the
+// A linear-scan MinClock in the tests is the specification; the
 // equivalence property is pinned by TestMinClockHeapMatchesLinear.
 //
 // The heap must observe every runnable transition, so it only works as a

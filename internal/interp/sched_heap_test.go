@@ -7,6 +7,25 @@ import (
 	"hsmcc/internal/sccsim"
 )
 
+// MinClock is the linear-scan specification of MinClockHeap: it
+// schedules the runnable context with the smallest virtual time (ties
+// broken by lowest ID). The parity tests drive both side by side.
+type MinClock struct{}
+
+// Next implements Policy.
+func (MinClock) Next(procs []*Proc) *Proc {
+	var best *Proc
+	for _, p := range procs {
+		if p.State != Runnable {
+			continue
+		}
+		if best == nil || p.Clock < best.Clock || (p.Clock == best.Clock && p.ID < best.ID) {
+			best = p
+		}
+	}
+	return best
+}
+
 // TestMinClockHeapMatchesLinear drives the indexed heap policy and the
 // linear-scan oracle side by side through a randomized schedule of the
 // transitions the session generates (spawn, yield with clock advance,

@@ -3,25 +3,21 @@ package interp
 import "hsmcc/internal/sccsim"
 
 // Scheduler tracing follows the MemProfiler pattern: an interface the
-// session owner attaches before Spawn, a nil-check at each hook site,
-// and hook placement restricted to code paths the two execution engines
-// share, so an attached sink observes the exact same event sequence —
-// same contexts, same clocks, same order — under the tree-walk and the
-// coroutine engine. The hooks only observe (they never charge time or
-// touch scheduling state), so simulation output and cycle statistics
-// are identical with tracing on or off.
+// session owner attaches before Spawn and a nil-check at each hook site.
+// The hooks only observe (they never charge time or touch scheduling
+// state), so simulation output and cycle statistics are identical with
+// tracing on or off; committed digests of the trace exports pin the
+// event sequence.
 //
-// Hook sites and their cross-engine twins:
+// Hook sites:
 //
-//   - TraceSpawn: Sim.Spawn (engine-independent).
-//   - TraceResume: the elected context's Runnable→Running transition —
-//     handoff in goroutine mode, the runCoro stepping loop in coroutine
-//     mode. A self-reelected yielder suspends nothing and resumes
-//     nothing: its run slice simply continues.
-//   - TraceSuspend: Yield/yieldCoro after the self-reelect check (kind
-//     SuspendYield), Block/blockCoro (SuspendBlock with the reason a
-//     BlockFor caller tagged), and finish (SuspendFinish; finish itself
-//     is shared by both engines).
+//   - TraceSpawn: Sim.Spawn.
+//   - TraceResume: the elected context's Runnable→Running transition in
+//     the Run stepping loop. A self-reelected yielder suspends nothing
+//     and resumes nothing: its run slice simply continues.
+//   - TraceSuspend: Yield after the self-reelect check (kind
+//     SuspendYield), Block (SuspendBlock with the reason a BlockFor
+//     caller tagged), and finish (SuspendFinish).
 //   - TraceUnblock: Proc.Unblock's Blocked→Runnable edge, after the
 //     clock advanced to the release time.
 //   - TraceSpin: Proc.NoteSpin, called by runtimes once per failed
@@ -32,7 +28,7 @@ import "hsmcc/internal/sccsim"
 // it (which may be later — a policy can charge switch costs inside
 // Next). A recorder reconstructs per-context run slices as
 // [resume clock, suspend clock] and blocked intervals as
-// [suspend clock, unblock clock] without any engine-divergent state.
+// [suspend clock, unblock clock].
 
 // SuspendKind says why a context gave up the processor.
 type SuspendKind uint8
@@ -118,7 +114,7 @@ func (p *Proc) BlockFor(r BlockReason) error {
 // NoteSpin reports one failed test-and-set round of a spin lock (with
 // the backoff about to be charged, in cycles) to the session trace.
 // Call it exactly once per failed round, before any yield propagates,
-// so spin counts are byte-identical across engines.
+// so a resumed builtin never counts a round twice.
 func (p *Proc) NoteSpin(backoff int) {
 	if p.trace != nil {
 		p.trace.TraceSpin(p.ID, p.Core, p.Clock, backoff)

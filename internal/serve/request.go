@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"hsmcc/internal/bench"
-	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/synth"
 )
@@ -39,8 +38,6 @@ type SimRequest struct {
 	Policy string `json:"policy,omitempty"`
 	// MPBBudget is the Stage 4 on-chip byte budget (0 = full MPB).
 	MPBBudget int `json:"mpb_budget,omitempty"`
-	// Engine selects the execution engine ("", compiled, treewalk).
-	Engine string `json:"engine,omitempty"`
 	// DeadlineMs is the request's wall-clock budget in milliseconds
 	// (0 = the server default; clamped to the server maximum).
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
@@ -52,7 +49,6 @@ type simCall struct {
 	req      SimRequest
 	workload bench.Workload
 	policy   partition.Policy
-	engine   interp.Engine
 	// spans/trace are the ?spans=1 / ?trace=1 opt-ins: both add
 	// non-deterministic (spans) or bulky (trace) material to the
 	// response envelope, so the default — byte-identical responses —
@@ -75,7 +71,7 @@ func decodeJSON(r *http.Request, v any) error {
 }
 
 // resolve validates req against the server limits and resolves its
-// workload, policy and engine. It fills defaults in place (so the
+// workload and policy. It fills defaults in place (so the
 // request echoed in responses names the effective values).
 func (s *Server) resolve(req *SimRequest) (*simCall, error) {
 	if req.Cores == 0 {
@@ -116,11 +112,7 @@ func (s *Server) resolve(req *SimRequest) (*simCall, error) {
 	if err != nil {
 		return nil, errBadRequest("%v", err)
 	}
-	engine, err := interp.ParseEngine(req.Engine)
-	if err != nil {
-		return nil, errBadRequest("%v", err)
-	}
-	return &simCall{req: *req, workload: w, policy: policy, engine: engine}, nil
+	return &simCall{req: *req, workload: w, policy: policy}, nil
 }
 
 // config derives the per-request bench.Config: the server template
@@ -131,7 +123,6 @@ func (s *Server) config(ctx context.Context, c *simCall) bench.Config {
 	cfg.Threads = c.req.Cores
 	cfg.Scale = c.req.Scale
 	cfg.MPBCapacity = c.req.MPBBudget
-	cfg.Engine = c.engine
 	cfg.Cancel = ctx.Err
 	cfg.Fault = s.fault
 	// The compute-stage span seam: fires only when a stage actually

@@ -70,7 +70,6 @@ func goldenCases() []goldenCase {
 		{"translate_ok", "POST", "/v1/translate", `{"workload":"pi","cores":2,"scale":0.01,"policy":"size"}`, 200},
 		{"simulate_ok", "POST", "/v1/simulate", `{"workload":"pi","cores":2,"scale":0.01,"policy":"size"}`, 200},
 		{"simulate_offchip_ok", "POST", "/v1/simulate", `{"workload":"dot","cores":2,"scale":0.01,"policy":"offchip"}`, 200},
-		{"simulate_treewalk_ok", "POST", "/v1/simulate", `{"workload":"pi","cores":2,"scale":0.01,"engine":"treewalk"}`, 200},
 		{"grid_ok", "POST", "/v1/grid", `{"grid":{"name":"t","workloads":["pi"],"cores":[1,2],"policies":["offchip","size"],"scale":0.01}}`, 200},
 		{"batch_ok", "POST", "/v1/batch", `{"items":[{"op":"compile","workload":"pi","cores":2,"scale":0.01},{"op":"simulate","workload":"pi","cores":2,"scale":0.01}]}`, 200},
 		{"healthz_ok", "GET", "/healthz", "", 200},
@@ -84,7 +83,8 @@ func goldenCases() []goldenCase {
 		{"err_over_limit_scale", "POST", "/v1/simulate", `{"workload":"pi","scale":1000000}`, 400},
 		{"err_negative_budget", "POST", "/v1/simulate", `{"workload":"pi","mpb_budget":-1}`, 400},
 		{"err_bad_policy", "POST", "/v1/simulate", `{"workload":"pi","policy":"mystery"}`, 400},
-		{"err_bad_engine", "POST", "/v1/simulate", `{"workload":"pi","engine":"quantum"}`, 400},
+		// The engine field is gone: the strict decoder rejects it.
+		{"err_bad_engine", "POST", "/v1/simulate", `{"workload":"pi","engine":"compiled"}`, 400},
 
 		// Error paths: body framing.
 		{"err_bad_json", "POST", "/v1/simulate", `{"workload":`, 400},
@@ -98,6 +98,7 @@ func goldenCases() []goldenCase {
 		{"err_batch_unknown_op", "POST", "/v1/batch", `{"items":[{"op":"explode","workload":"pi","cores":2,"scale":0.01}]}`, 200},
 		{"err_grid_bad_cores", "POST", "/v1/grid", `{"grid":{"name":"t","workloads":["pi"],"cores":[1048576],"policies":["size"],"scale":0.01}}`, 400},
 		{"err_grid_bad_synth", "POST", "/v1/grid", `{"grid":{"name":"t","workloads":["synth:zzz"],"cores":[2],"policies":["size"],"scale":0.01}}`, 400},
+		{"err_grid_engine_field", "POST", "/v1/grid", `{"grid":{"name":"t","workloads":["pi"],"cores":[2],"policies":["size"],"scale":0.01},"engine":"compiled"}`, 400},
 	}
 }
 

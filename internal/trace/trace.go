@@ -7,10 +7,9 @@
 //
 // The recorder is observation-only: it never charges simulated time and
 // never touches scheduling state, so a run produces byte-identical
-// output and cycle statistics with tracing on or off. All hooks fire
-// from engine-shared code paths, so the recorded event stream — and
-// therefore every export — is byte-identical between the tree-walk and
-// coroutine engines.
+// output and cycle statistics with tracing on or off. The recorded event
+// stream, and therefore every export, is deterministic: committed
+// digests of the exports pin it (TestCrossEngineByteIdentity).
 //
 // Hot-path discipline (the PR-5 profiler / PR-9 scratch-pool rules):
 // the event ring and every per-core accumulator are preallocated at

@@ -141,7 +141,7 @@ func resultDigest(output string, makespan sccsim.Time, switches uint64, stats sc
 // results of the three event-source programs to committed digests
 // (testdata/golden/exports.digests), recorded while the tree-walk
 // reference and the coroutine engine produced byte-identical exports.
-// Every hook sits on the scheduler's shared code path, so any change to
+// Every hook sits on a scheduler edge, so any change to
 // what a run records — or to the run itself — shows up here.
 func TestCrossEngineByteIdentity(t *testing.T) {
 	set := golden.NewSet(filepath.Join("testdata", "golden", "exports.digests"))
