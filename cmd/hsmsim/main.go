@@ -59,8 +59,10 @@ func main() {
 	}
 
 	var rec *trace.Recorder
+	var hooks interp.Hooks
 	if *traceOut != "" {
 		rec = trace.NewRecorder(machine, 0)
+		hooks.Trace = rec
 	}
 
 	var output string
@@ -68,9 +70,7 @@ func main() {
 	switch *mode {
 	case "pthread":
 		opts := pthreadrt.DefaultOptions()
-		if rec != nil {
-			opts.Trace = rec
-		}
+		opts.Hooks = hooks
 		res, err := pthreadrt.Run(pr, machine, opts)
 		if err != nil {
 			fatal(err)
@@ -81,9 +81,7 @@ func main() {
 		}
 	case "rcce":
 		opts := rcce.DefaultOptions(*cores)
-		if rec != nil {
-			opts.Trace = rec
-		}
+		opts.Hooks = hooks
 		res, err := rcce.Run(pr, machine, opts)
 		if err != nil {
 			fatal(err)

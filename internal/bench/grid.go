@@ -215,7 +215,7 @@ type RunOptions struct {
 	// running.
 	Cancel func() error
 	// Fault, when non-nil, is the chaos-injection seam threaded into
-	// every cell's Config (see Config.Fault): it fires at the named
+	// every cell's Config (see Hooks.Fault): it fires at the named
 	// compute stages inside the memoized closures, so injected panics
 	// and cancellations exercise the cache's drop-on-error discipline.
 	Fault func(stage string) error
@@ -361,8 +361,7 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	if r.cfg.Cache == nil {
 		r.cfg.Cache = NewCache()
 	}
-	r.cfg.Cancel = opt.Cancel
-	r.cfg.Fault = opt.Fault
+	r.cfg.Hooks = Hooks{Cancel: opt.Cancel, Fault: opt.Fault}
 	r.traceDir = opt.TraceDir
 
 	// Mark duplicate cells (same semantic key as an earlier-indexed
@@ -370,8 +369,8 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	// worker won the race to compute the shared entry. The machine
 	// config is fixed across the sweep: fingerprint it once here so
 	// per-cell cache-key construction never builds a throwaway machine.
-	r.fullMPB = r.cfg.Machine().Config().MPBTotal()
 	r.cfg = r.cfg.PrecomputeMachineEnv()
+	r.fullMPB = r.cfg.machineConfig().MPBTotal()
 	firstByKey := make(map[cellKey]int)
 	dup := make([]bool, len(cells))
 	for i, c := range cells {

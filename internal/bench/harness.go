@@ -57,7 +57,8 @@ type Config struct {
 	Threads int
 	// Scale shrinks/grows problem sizes (1.0 = full experiment size).
 	Scale float64
-	// Baseline holds the single-core Pthread runtime options.
+	// Baseline holds the single-core Pthread runtime options. Its Hooks
+	// are ignored: the harness installs the run's own.
 	Baseline pthreadrt.Options
 	// Machine returns a fresh machine per run (timing state such as
 	// controller queues must not leak between runs).
@@ -68,12 +69,8 @@ type Config struct {
 	MPBCapacity int
 	// RCCE overrides the runtime options per UE count (nil = defaults).
 	// The MPB-placement ablation disables striping through this hook.
+	// As with Baseline, the harness installs the run's own Hooks.
 	RCCE func(numUEs int) rcce.Options
-	// TransformRCCE, when non-nil, rewrites the translated C source
-	// between Stage 5 and re-parsing. The conformance engine uses it to
-	// inject translator faults and prove the differential oracle catches
-	// them; nil is the identity.
-	TransformRCCE func(src string) (string, error)
 	// Engine is ignored: the compiled engine is the only engine.
 	//
 	// Deprecated: kept for source compatibility; nothing reads it.
@@ -83,12 +80,28 @@ type Config struct {
 	// cell — and every concurrent worker — with the same source. The
 	// grid runner and the conformance oracle install one.
 	Cache *Cache
+	// Hooks are the run's per-request control and observation seam.
+	Hooks
+	// machineEnv, when non-empty, is a precomputed fingerprint of
+	// machineCfg, the configuration cfg.Machine() builds. Sweeps whose
+	// machine is fixed (the grid runner) set both once so cache-key
+	// construction does not build a throwaway machine per lookup.
+	machineEnv string
+	machineCfg *sccsim.Config
+}
+
+// Hooks is the per-run seam of a harness run: cancellation, fault
+// injection, stage spans, the RCCE trace sink and the translator fault
+// hook. Every field is per-request state, never part of any cache
+// identity: cache keys zero the runtime hooks as one value, and the
+// memoized computations fire Fault and Span inside their compute
+// closures, so a cache hit runs no hook.
+type Hooks struct {
 	// Cancel, when non-nil, is polled at every scheduling decision of
 	// every simulation this config runs (baseline, RCCE, profiling): a
-	// non-nil return aborts the run promptly with that error. It is
-	// per-request state, never part of any cache identity — the serving
-	// layer wires a request context's Err here so deadlines and client
-	// disconnects stop simulations mid-flight.
+	// non-nil return aborts the run promptly with that error. The
+	// serving layer wires a request context's Err here so deadlines and
+	// client disconnects stop simulations mid-flight.
 	Cancel func() error
 	// Fault, when non-nil, is invoked at the entry of every compute
 	// stage this config runs — "compile", "translate", "baseline",
@@ -98,28 +111,39 @@ type Config struct {
 	// *PanicError at the nearest isolation boundary) or return an error
 	// (spurious cancellation). It fires inside memoized computations, so
 	// the cache's drop-on-error discipline is what a fault exercises.
-	// Like Cancel it is per-request state, never part of any cache
-	// identity.
 	Fault func(stage string) error
 	// Span, when non-nil, is invoked at the entry of every compute stage
 	// this config actually executes — same stage names as Fault — and the
 	// returned func at its exit. It is the request-tracing seam
-	// (internal/serve spans): because it fires inside the memoized
-	// computations, a cache hit produces no compute span, which is
-	// exactly what a request timeline should show. Like Cancel and Fault
-	// it is per-request state, never part of any cache identity.
+	// (internal/serve spans): a cache hit produces no compute span,
+	// which is exactly what a request timeline should show.
 	Span func(stage string) func()
 	// TraceRCCE, when non-nil, receives the scheduling/memory event
 	// stream of the RCCE simulation (the un-memoized half of a run; see
 	// internal/trace.Recorder). Observation only: simulation output and
-	// cycle stats are identical with or without it, so like the other
-	// per-run observers it is excluded from every cache identity.
+	// cycle stats are identical with or without it.
 	TraceRCCE interp.TraceSink
-	// machineEnv, when non-empty, is a precomputed fingerprint of
-	// cfg.Machine().Config() — sweeps whose machine is fixed (the grid
-	// runner) set it once so cache-key construction does not build a
-	// throwaway machine per lookup.
-	machineEnv string
+	// TransformRCCE, when non-nil, rewrites the translated C source
+	// between Stage 5 and re-parsing. The conformance engine uses it to
+	// inject translator faults and prove the differential oracle catches
+	// them; nil is the identity. It applies after the translation cache
+	// and the program cache keys by the rewritten text, so it never
+	// aliases an untransformed entry.
+	TransformRCCE func(src string) (string, error)
+}
+
+// enter opens one compute stage: it fires Fault, then opens the stage
+// span. On success end closes the span and is never nil.
+func (h Hooks) enter(stage string) (end func(), err error) {
+	if h.Fault != nil {
+		if err := h.Fault(stage); err != nil {
+			return nil, err
+		}
+	}
+	if h.Span == nil {
+		return func() {}, nil
+	}
+	return h.Span(stage), nil
 }
 
 // DefaultConfig is the paper's configuration: 32 threads/cores, full
@@ -133,31 +157,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// fault fires cfg's fault-injection hook for one compute stage.
-func (cfg Config) fault(stage string) error {
-	if cfg.Fault == nil {
-		return nil
-	}
-	return cfg.Fault(stage)
-}
-
-// span opens a stage span when cfg carries the tracing seam; the
-// returned func closes it and is never nil.
-func (cfg Config) span(stage string) func() {
-	if cfg.Span == nil {
-		return func() {}
-	}
-	return cfg.Span(stage)
-}
-
 // rcceOptions resolves the effective RCCE runtime options for cfg.
 func (cfg Config) rcceOptions() rcce.Options {
 	ropts := rcce.DefaultOptions(cfg.Threads)
 	if cfg.RCCE != nil {
 		ropts = cfg.RCCE(cfg.Threads)
 	}
-	ropts.Cancel = cfg.Cancel
-	ropts.Trace = cfg.TraceRCCE
+	ropts.Hooks = interp.Hooks{Cancel: cfg.Cancel, Trace: cfg.TraceRCCE}
 	return ropts
 }
 
@@ -168,12 +174,19 @@ func (cfg Config) rcceOptions() rcce.Options {
 // only when every input of that run is identical.
 func (cfg Config) baselineEnv() string {
 	opts := cfg.Baseline
-	// Per-run observers are not semantic identity, and a non-nil func
-	// would render as a pointer — nondeterministic across processes.
-	opts.Cancel = nil
-	opts.Profiler = nil
-	opts.Trace = nil
+	// Runtime hooks are per-run state, and a non-nil func would render
+	// as a pointer — nondeterministic across processes.
+	opts.Hooks = interp.Hooks{}
 	return fmt.Sprintf("%s|%+v", cfg.machineFingerprint(), opts)
+}
+
+// rcceEnv fingerprints the profiling-run environment: the machine
+// configuration plus the effective RCCE options (which carry the
+// core mapping and oversubscription mode).
+func (cfg Config) rcceEnv() string {
+	ropts := cfg.rcceOptions()
+	ropts.Hooks = interp.Hooks{} // per-run state, as in baselineEnv
+	return fmt.Sprintf("%s|%+v", cfg.machineFingerprint(), ropts)
 }
 
 // machineFingerprint renders the machine configuration for cache keys,
@@ -186,28 +199,36 @@ func (cfg Config) machineFingerprint() string {
 	return fmt.Sprintf("%+v", cfg.Machine().Config())
 }
 
-// PrecomputeMachineEnv returns a copy of cfg carrying the machine-config
-// fingerprint, built once here. Harnesses that derive many cell configs
-// from one template over a fixed machine (the grid runner, the
-// conformance oracle) call this on the template so per-cell cache-key
-// construction never builds a throwaway machine.
+// machineConfig returns the configuration cfg.Machine() builds, from the
+// precomputed copy when there is one.
+func (cfg Config) machineConfig() sccsim.Config {
+	if cfg.machineCfg != nil {
+		return *cfg.machineCfg
+	}
+	return cfg.Machine().Config()
+}
+
+// PrecomputeMachineEnv returns a copy of cfg carrying the machine
+// configuration and its fingerprint, built once here. Harnesses that
+// derive many cell configs from one template over a fixed machine (the
+// grid runner, the conformance oracle) call this on the template so
+// per-cell cache-key construction never builds a throwaway machine.
 func (cfg Config) PrecomputeMachineEnv() Config {
-	cfg.machineEnv = cfg.machineFingerprint()
+	mcfg := cfg.Machine().Config()
+	cfg.machineCfg = &mcfg
+	cfg.machineEnv = fmt.Sprintf("%+v", mcfg)
 	return cfg
 }
 
-// rcceEnv fingerprints the profiling-run environment: the machine
-// configuration plus the effective RCCE options (which carry the
-// core mapping and oversubscription mode).
-func (cfg Config) rcceEnv() string {
-	ropts := cfg.rcceOptions()
-	// Same exclusion as baselineEnv: per-run observers and the cancel
-	// hook are request state, not cache identity.
-	ropts.Cancel = nil
-	ropts.Profiler = nil
-	ropts.AllocObserver = nil
-	ropts.Trace = nil
-	return fmt.Sprintf("%s|%+v", cfg.machineFingerprint(), ropts)
+// translationKey returns the cache identity of the translation pipeline
+// run for w under policy at the effective MPB capacity, with the
+// profile-guided placement pl (nil for the static policies).
+func (cfg Config) translationKey(w Workload, policy partition.Policy, capacity int, pl *profile.Placement) translationKey {
+	key := translationKey{w.Key, cfg.Threads, cfg.Scale, policy, capacity, "", cfg.machineFingerprint()}
+	if pl != nil {
+		key.placement = pl.Digest()
+	}
+	return key
 }
 
 // CompileBaseline compiles (or fetches from the cache) the unconverted
@@ -215,7 +236,7 @@ func (cfg Config) rcceEnv() string {
 // is immutable — one compile serves any number of concurrent runs.
 func CompileBaseline(w Workload, cfg Config) (*interp.Program, error) {
 	src := w.Source(cfg.Threads, cfg.Scale)
-	pr, err := cfg.Cache.program(w.Key+".c", src, cfg.Fault, cfg.Span)
+	pr, err := cfg.Cache.program(w.Key+".c", src, cfg.Hooks)
 	if err != nil {
 		return nil, fmt.Errorf("%s baseline: %w", w.Key, err)
 	}
@@ -225,12 +246,13 @@ func CompileBaseline(w Workload, cfg Config) (*interp.Program, error) {
 // RunBaselineProgram executes an already-compiled baseline program: all
 // threads time-share one SCC core (thesis Chapter 6's baseline).
 func RunBaselineProgram(w Workload, pr *interp.Program, cfg Config) (*RunResult, error) {
-	if err := cfg.fault("baseline"); err != nil {
+	end, err := cfg.enter("baseline")
+	if err != nil {
 		return nil, fmt.Errorf("%s baseline: %w", w.Key, err)
 	}
-	defer cfg.span("baseline")()
+	defer end()
 	opts := cfg.Baseline
-	opts.Cancel = cfg.Cancel
+	opts.Hooks = interp.Hooks{Cancel: cfg.Cancel}
 	res, err := pthreadrt.Run(pr, cfg.Machine(), opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s baseline: %w", w.Key, err)
@@ -290,9 +312,8 @@ type Translation struct {
 func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Translation, error) {
 	capacity := cfg.MPBCapacity
 	if capacity <= 0 {
-		capacity = cfg.Machine().Config().MPBTotal()
+		capacity = cfg.machineConfig().MPBTotal()
 	}
-	scale := cfg.Scale
 	var pl *profile.Placement
 	if policy == partition.PolicyProfiled {
 		var err error
@@ -307,7 +328,7 @@ func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Transl
 		// pipeline run.
 		capacity = 0
 	}
-	tr, err := cfg.Cache.translate(w, cfg.Threads, scale, policy, capacity, pl, cfg.machineFingerprint(), cfg.Fault, cfg.Span)
+	tr, err := cfg.Cache.translate(w, cfg.translationKey(w, policy, capacity, pl), pl, cfg.Hooks)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +339,7 @@ func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Transl
 			return nil, fmt.Errorf("%s transform translated source: %w", w.Key, err)
 		}
 	}
-	pr, err := cfg.Cache.program(w.Key+"_rcce.c", translated, cfg.Fault, cfg.Span)
+	pr, err := cfg.Cache.program(w.Key+"_rcce.c", translated, cfg.Hooks)
 	if err != nil {
 		return nil, fmt.Errorf("%s reparse translated source: %w\n---\n%s", w.Key, err, translated)
 	}
@@ -327,10 +348,11 @@ func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Transl
 
 // RunRCCEProgram executes a translated program with one process per UE.
 func RunRCCEProgram(w Workload, tr *Translation, cfg Config, policy partition.Policy) (*RunResult, error) {
-	if err := cfg.fault("simulate"); err != nil {
+	end, err := cfg.enter("simulate")
+	if err != nil {
 		return nil, fmt.Errorf("%s simulate: %w", w.Key, err)
 	}
-	defer cfg.span("simulate")()
+	defer end()
 	mode := "rcce-offchip"
 	switch policy {
 	case partition.PolicyOffChipOnly:

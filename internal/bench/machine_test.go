@@ -39,9 +39,12 @@ func TestMachineCacheKeysDistinct(t *testing.T) {
 		t.Errorf("profile run env identical across machine presets")
 	}
 
-	ka := translationKey{"hist", 4, 1.0, partition.PolicySizeAscending, 1 << 14, "", a.machineEnv}
-	kb := ka
-	kb.machine = b.machineEnv
+	w, ok := ByKey("hist")
+	if !ok {
+		t.Fatal("histogram workload missing")
+	}
+	ka := a.translationKey(w, partition.PolicySizeAscending, 1<<14, nil)
+	kb := b.translationKey(w, partition.PolicySizeAscending, 1<<14, nil)
 	if ka == kb {
 		t.Errorf("translation keys identical across machine presets")
 	}
@@ -56,19 +59,12 @@ func TestMachineCacheKeysDistinct(t *testing.T) {
 	// End to end: the same translation request through one shared cache
 	// under the two machines must compute twice, not share.
 	cache := NewCache()
-	ta := a
-	ta.Cache = cache
-	tb := b
-	tb.Cache = cache
-	w, ok := ByKey("hist")
-	if !ok {
-		t.Fatal("histogram workload missing")
-	}
-	if _, err := cache.translate(w, 4, 0.05, partition.PolicySizeAscending, 1<<14, nil, ta.machineEnv, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.translate(w, 4, 0.05, partition.PolicySizeAscending, 1<<14, nil, tb.machineEnv, nil, nil); err != nil {
-		t.Fatal(err)
+	for _, cfg := range []Config{a, b} {
+		cfg.Threads, cfg.Scale = 4, 0.05
+		key := cfg.translationKey(w, partition.PolicySizeAscending, 1<<14, nil)
+		if _, err := cache.translate(w, key, nil, Hooks{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := cache.Stats().TranslateRuns; got != 2 {
 		t.Errorf("translation shared across machine presets: %d runs, want 2", got)

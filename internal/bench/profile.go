@@ -12,6 +12,7 @@ package bench
 import (
 	"fmt"
 
+	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/profile"
 	"hsmcc/internal/rcce"
@@ -36,27 +37,28 @@ func ProfileWorkload(w Workload, cfg Config) (*profile.Report, error) {
 
 // profileUncached is the compute half of ProfileWorkload.
 func profileUncached(w Workload, cfg Config) (*profile.Report, error) {
-	if err := cfg.fault("profile"); err != nil {
+	end, err := cfg.enter("profile")
+	if err != nil {
 		return nil, fmt.Errorf("%s profile: %w", w.Key, err)
 	}
-	defer cfg.span("profile")()
-	tr, err := cfg.Cache.translate(w, cfg.Threads, cfg.Scale, partition.PolicyOffChipOnly, 0, nil, cfg.machineFingerprint(), cfg.Fault, cfg.Span)
+	defer end()
+	key := cfg.translationKey(w, partition.PolicyOffChipOnly, 0, nil)
+	tr, err := cfg.Cache.translate(w, key, nil, cfg.Hooks)
 	if err != nil {
 		return nil, fmt.Errorf("%s profile translate: %w", w.Key, err)
 	}
-	pr, err := cfg.Cache.program(w.Key+"_rcce.c", tr.source, cfg.Fault, cfg.Span)
+	pr, err := cfg.Cache.program(w.Key+"_rcce.c", tr.source, cfg.Hooks)
 	if err != nil {
 		return nil, fmt.Errorf("%s profile reparse: %w", w.Key, err)
 	}
 	col := profile.NewCollector(profile.Spec{OffChip: tr.offChipAllocs, OnChip: tr.onChipAllocs})
 	m := cfg.Machine()
 	ropts := cfg.rcceOptions()
-	ropts.Profiler = col
-	ropts.AllocObserver = col
 	// The profiling pass is memoized: its simulation must not leak
 	// events into a per-request trace recorder, or warm and cold runs
-	// would trace differently.
-	ropts.Trace = nil
+	// would trace differently. The collector also labels the RCCE
+	// allocator's ranges (rcce.AllocObserver).
+	ropts.Hooks = interp.Hooks{Cancel: cfg.Cancel, Profiler: col}
 	res, err := rcce.Run(pr, m, ropts)
 	if err != nil {
 		return nil, fmt.Errorf("%s profile run: %w", w.Key, err)

@@ -200,18 +200,23 @@ func TestTranslationCacheDistinguishesPlacements(t *testing.T) {
 	}
 	plA := mk(map[string]bool{"psum": true})
 	plB := mk(map[string]bool{"a": true})
-	trA, err := cache.translate(w, 4, 0.05, partition.PolicyProfiled, 16384, plA, "", nil, nil)
+	cfg := DefaultConfig().PrecomputeMachineEnv()
+	cfg.Threads, cfg.Scale = 4, 0.05
+	translate := func(policy partition.Policy, pl *profile.Placement) (*translation, error) {
+		return cache.translate(w, cfg.translationKey(w, policy, 16384, pl), pl, Hooks{})
+	}
+	trA, err := translate(partition.PolicyProfiled, plA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trB, err := cache.translate(w, 4, 0.05, partition.PolicyProfiled, 16384, plB, "", nil, nil)
+	trB, err := translate(partition.PolicyProfiled, plB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trA == trB || trA.source == trB.source {
 		t.Fatalf("different placements shared one translation")
 	}
-	trStatic, err := cache.translate(w, 4, 0.05, partition.PolicySizeAscending, 16384, nil, "", nil, nil)
+	trStatic, err := translate(partition.PolicySizeAscending, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,23 +64,14 @@ type translation struct {
 	offChipAllocs, onChipAllocs []string
 }
 
-// baselineRunKey identifies one baseline execution. The baseline is a
-// pure function of the workload source (workload, threads, scale) and
-// the run environment (machine configuration plus baseline runtime
-// options, folded into env) — every policy and budget variant of a
-// sweep reuses it, the ROADMAP's cross-cell memoization.
-type baselineRunKey struct {
-	workload string
-	threads  int
-	scale    float64
-	env      string
-}
-
-// profileKey identifies one access-profiling pass. The profile is
-// measured under the uniform off-chip reference placement, so it is
-// budget-independent: every MPB budget of a profiled sweep shares one
-// profiling run.
-type profileKey struct {
+// runKey identifies one configuration-pure run: a baseline execution
+// or an access-profiling pass. Either is a pure function of the workload
+// source (workload, threads, scale) and the run environment (machine
+// configuration plus runtime options, folded into env). Every policy and
+// budget variant of a sweep reuses a baseline, and the profile — measured
+// under the uniform off-chip reference placement — is budget-independent,
+// so every MPB budget of a profiled sweep shares one profiling run.
+type runKey struct {
 	workload string
 	threads  int
 	scale    float64
@@ -92,7 +83,7 @@ type profileKey struct {
 // output (not just the profile) means a profiled cell's digest lookup
 // and its translation share one knapsack solve.
 type placementKey struct {
-	profileKey
+	runKey
 	budget int
 }
 
@@ -102,8 +93,8 @@ type placementKey struct {
 type Cache struct {
 	programs     onceCache[programKey, *interp.Program]
 	translations onceCache[translationKey, *translation]
-	baselines    onceCache[baselineRunKey, *RunResult]
-	profiles     onceCache[profileKey, *profile.Report]
+	baselines    onceCache[runKey, *RunResult]
+	profiles     onceCache[runKey, *profile.Report]
 	placements   onceCache[placementKey, *profile.Placement]
 
 	// budget, when non-nil, is the shared LRU spine bounding the total
@@ -157,11 +148,11 @@ func NewCacheSized(maxCostBytes int64) *Cache {
 		return n
 	}
 	c.baselines.budget = b
-	c.baselines.costOf = func(_ baselineRunKey, r *RunResult) int64 {
+	c.baselines.costOf = func(_ runKey, r *RunResult) int64 {
 		return 512 + int64(len(r.Output)) + int64(len(r.TranslatedSource))
 	}
 	c.profiles.budget = b
-	c.profiles.costOf = func(_ profileKey, r *profile.Report) int64 {
+	c.profiles.costOf = func(_ runKey, r *profile.Report) int64 {
 		return 256 + 96*int64(len(r.Vars))
 	}
 	c.placements.budget = b
@@ -230,21 +221,17 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // program returns the compiled form of (name, src), compiling at most
-// once per distinct source even under concurrent lookups. fault and
-// span, when non-nil, fire inside the compute closure (Config.Fault's
-// and Config.Span's "compile" seam) so an injected panic or
+// once per distinct source even under concurrent lookups. h's "compile"
+// stage fires inside the compute closure, so an injected panic or
 // cancellation exercises the cache's drop-on-error discipline rather
-// than bypassing it — and so a cache hit produces no compile span.
-func (c *Cache) program(name, src string, fault func(string) error, span func(string) func()) (*interp.Program, error) {
+// than bypassing it — and a cache hit produces no compile span.
+func (c *Cache) program(name, src string, h Hooks) (*interp.Program, error) {
 	compile := func() (*interp.Program, error) {
-		if fault != nil {
-			if err := fault("compile"); err != nil {
-				return nil, fmt.Errorf("%s compile: %w", name, err)
-			}
+		end, err := h.enter("compile")
+		if err != nil {
+			return nil, fmt.Errorf("%s compile: %w", name, err)
 		}
-		if span != nil {
-			defer span("compile")()
-		}
+		defer end()
 		return interp.Compile(name, src)
 	}
 	if c == nil {
@@ -256,27 +243,25 @@ func (c *Cache) program(name, src string, fault func(string) error, span func(st
 	})
 }
 
-// translate runs (or reuses) the translation pipeline for one cell.
-// pl carries the profile-guided placement for PolicyProfiled cells (nil
-// for the static policies).
-func (c *Cache) translate(w Workload, threads int, scale float64, policy partition.Policy, capacity int, pl *profile.Placement, machineEnv string, fault func(string) error, span func(string) func()) (*translation, error) {
+// translate runs (or reuses) the translation pipeline for one cell,
+// identified by key (Config.translationKey). pl carries the
+// profile-guided placement for PolicyProfiled cells (nil for the static
+// policies).
+func (c *Cache) translate(w Workload, key translationKey, pl *profile.Placement, h Hooks) (*translation, error) {
 	run := func() (*translation, error) {
 		if c != nil {
 			atomic.AddInt64(&c.translateRuns, 1)
 		}
-		if fault != nil {
-			if err := fault("translate"); err != nil {
-				return nil, fmt.Errorf("%s translate: %w", w.Key, err)
-			}
+		end, err := h.enter("translate")
+		if err != nil {
+			return nil, fmt.Errorf("%s translate: %w", w.Key, err)
 		}
-		if span != nil {
-			defer span("translate")()
-		}
-		src := w.Source(threads, scale)
+		defer end()
+		src := w.Source(key.threads, key.scale)
 		cc := core.Config{
-			Cores:       threads,
-			Policy:      policy,
-			MPBCapacity: capacity,
+			Cores:       key.threads,
+			Policy:      key.policy,
+			MPBCapacity: key.capacity,
 		}
 		if pl != nil {
 			cc.Placement = pl.OnChip()
@@ -298,10 +283,6 @@ func (c *Cache) translate(w Workload, threads int, scale float64, policy partiti
 	if c == nil {
 		return run()
 	}
-	key := translationKey{w.Key, threads, scale, policy, capacity, "", machineEnv}
-	if pl != nil {
-		key.placement = pl.Digest()
-	}
 	return c.translations.get(key, run)
 }
 
@@ -316,8 +297,7 @@ func (c *Cache) baselineRun(w Workload, cfg Config) (*RunResult, error) {
 	if c == nil {
 		return run()
 	}
-	key := baselineRunKey{w.Key, cfg.Threads, cfg.Scale, cfg.baselineEnv()}
-	return c.baselines.get(key, run)
+	return c.baselines.get(runKey{w.Key, cfg.Threads, cfg.Scale, cfg.baselineEnv()}, run)
 }
 
 // profileReport runs (or reuses) the access-profiling pass for cfg.
@@ -331,8 +311,7 @@ func (c *Cache) profileReport(w Workload, cfg Config) (*profile.Report, error) {
 	if c == nil {
 		return run()
 	}
-	key := profileKey{w.Key, cfg.Threads, cfg.Scale, cfg.rcceEnv()}
-	return c.profiles.get(key, run)
+	return c.profiles.get(runKey{w.Key, cfg.Threads, cfg.Scale, cfg.rcceEnv()}, run)
 }
 
 // placementFor runs (or reuses) the profile→optimize pair for cfg at
@@ -348,6 +327,5 @@ func (c *Cache) placementFor(w Workload, cfg Config, budget int) (*profile.Place
 	if c == nil {
 		return run()
 	}
-	pk := profileKey{w.Key, cfg.Threads, cfg.Scale, cfg.rcceEnv()}
-	return c.placements.get(placementKey{pk, budget}, run)
+	return c.placements.get(placementKey{runKey{w.Key, cfg.Threads, cfg.Scale, cfg.rcceEnv()}, budget}, run)
 }

@@ -149,7 +149,7 @@ type Divergence struct {
 	Synth    bool   `json:"synth,omitempty"`
 	SynthKey string `json:"synth_key,omitempty"`
 	BaseOut  string `json:"base_out,omitempty"`
-	RCCEOut string `json:"rcce_out,omitempty"`
+	RCCEOut  string `json:"rcce_out,omitempty"`
 	// Err is set when a pipeline stage failed outright (parse, sema,
 	// translate, execution) rather than producing divergent output.
 	Err string `json:"err,omitempty"`
@@ -392,36 +392,45 @@ func (e *Engine) checkDigest(seed int64, srcFor func(ues int) string) (*Divergen
 // worker pool, shrinking any failures to minimal reproducers. logf, when
 // non-nil, receives one line per failure as it happens.
 func (e *Engine) Run(base int64, n, parallel int, logf func(format string, args ...any)) *Report {
-	if parallel < 1 {
-		parallel = 1
-	}
-	rep := &Report{BaseSeed: base, Kernels: n, Digests: make(map[int64]string, n)}
+	digests, failures := runSeedPool(base, n, parallel, func(seed int64) (string, *Failure) {
+		spec := SpecForSeed(seed, e.Gen)
+		div, digest := e.checkDigest(seed, spec.Source)
+		if div == nil {
+			return digest, nil
+		}
+		min := e.Shrink(spec, div)
+		f := &Failure{Seed: seed, Div: div, Spec: spec, Minimized: min,
+			MinSource: min.Source(div.Cores)}
+		if logf != nil {
+			logf("conformance: FAIL %s\nminimized (%d lines):\n%s",
+				div, strings.Count(f.MinSource, "\n"), f.MinSource)
+		}
+		return digest, f
+	})
+	return &Report{BaseSeed: base, Kernels: n, Failures: failures, Digests: digests}
+}
+
+// runSeedPool checks seeds base..base+n-1 across parallel workers (at
+// least one). check returns a seed's matrix digest and, for a failing
+// kernel, its shrunken failure record; the pool collects both.
+func runSeedPool[F any](base int64, n, parallel int, check func(seed int64) (string, *F)) (map[int64]string, []*F) {
+	digests := make(map[int64]string, n)
+	var failures []*F
 	var mu sync.Mutex
 	jobs := make(chan int64)
 	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
+	for w := 0; w < max(parallel, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for seed := range jobs {
-				spec := SpecForSeed(seed, e.Gen)
-				div, digest := e.checkDigest(seed, spec.Source)
+				digest, f := check(seed)
 				mu.Lock()
-				rep.Digests[seed] = digest
-				mu.Unlock()
-				if div == nil {
-					continue
+				digests[seed] = digest
+				if f != nil {
+					failures = append(failures, f)
 				}
-				min := e.Shrink(spec, div)
-				f := &Failure{Seed: seed, Div: div, Spec: spec, Minimized: min,
-					MinSource: min.Source(div.Cores)}
-				mu.Lock()
-				rep.Failures = append(rep.Failures, f)
 				mu.Unlock()
-				if logf != nil {
-					logf("conformance: FAIL %s\nminimized (%d lines):\n%s",
-						div, strings.Count(f.MinSource, "\n"), f.MinSource)
-				}
 			}
 		}()
 	}
@@ -430,5 +439,5 @@ func (e *Engine) Run(base int64, n, parallel int, logf func(format string, args 
 	}
 	close(jobs)
 	wg.Wait()
-	return rep
+	return digests, failures
 }

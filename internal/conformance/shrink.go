@@ -173,9 +173,10 @@ func reductions(s *Spec) []*Spec {
 			add(func(c *Spec) { c.dropArray(a) })
 		}
 	}
-	// Shrink the slice width.
+	// Shrink the slice width. OpI stays valid at any PerThread: the loop
+	// exists until a round turns on Slot.
 	if s.PerThread > 1 {
-		add(func(c *Spec) { c.PerThread = 1; c.stripOpI() })
+		add(func(c *Spec) { c.PerThread = 1 })
 	}
 	// Per-round structural reductions.
 	for i := range s.Rounds {
@@ -333,10 +334,6 @@ func (s *Spec) dropArray(a int) {
 		// array remains (it always does — Arrays is never emptied).
 	}
 }
-
-// stripOpI is a no-op placeholder kept for symmetry: OpI stays valid at
-// any PerThread (the loop still exists until a round turns on Slot).
-func (s *Spec) stripOpI() {}
 
 func (s *Spec) anyCrit() bool {
 	for _, r := range s.Rounds {

@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"strings"
-	"sync"
 
 	"hsmcc/internal/synth"
 )
@@ -68,49 +67,25 @@ type SynthReport struct {
 }
 
 // RunSynth checks n seed-derived vectors (seeds base..base+n-1) across
-// a worker pool, shrinking any failures. The worker-pool shape mirrors
-// Run; kernel i of a sweep reproduces directly via
-// `hsmconf -synth -seed base+i -n 1`.
+// the worker pool Run uses, shrinking any failures; kernel i of a sweep
+// reproduces directly via `hsmconf -synth -seed base+i -n 1`.
 func (e *Engine) RunSynth(base int64, n, parallel int, logf func(format string, args ...any)) *SynthReport {
-	if parallel < 1 {
-		parallel = 1
-	}
-	rep := &SynthReport{BaseSeed: base, Kernels: n, Digests: make(map[int64]string, n)}
-	var mu sync.Mutex
-	jobs := make(chan int64)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range jobs {
-				p := synth.ParamsForSeed(seed)
-				div, digest := e.checkDigest(p.Seed, p.Source)
-				div = e.markSynth(p, div)
-				mu.Lock()
-				rep.Digests[seed] = digest
-				mu.Unlock()
-				if div == nil {
-					continue
-				}
-				min := e.ShrinkSynth(p, div)
-				ues := div.Cores * max(div.Oversub, 1)
-				f := &SynthFailure{Seed: seed, Params: p, Div: div,
-					Minimized: min, MinSource: min.Source(ues)}
-				mu.Lock()
-				rep.Failures = append(rep.Failures, f)
-				mu.Unlock()
-				if logf != nil {
-					logf("conformance: FAIL %s\nminimized vector %s (%d lines):\n%s",
-						div, min.Key(), strings.Count(f.MinSource, "\n"), f.MinSource)
-				}
-			}
-		}()
-	}
-	for i := int64(0); i < int64(n); i++ {
-		jobs <- base + i
-	}
-	close(jobs)
-	wg.Wait()
-	return rep
+	digests, failures := runSeedPool(base, n, parallel, func(seed int64) (string, *SynthFailure) {
+		p := synth.ParamsForSeed(seed)
+		div, digest := e.checkDigest(p.Seed, p.Source)
+		div = e.markSynth(p, div)
+		if div == nil {
+			return digest, nil
+		}
+		min := e.ShrinkSynth(p, div)
+		ues := div.Cores * max(div.Oversub, 1)
+		f := &SynthFailure{Seed: seed, Params: p, Div: div,
+			Minimized: min, MinSource: min.Source(ues)}
+		if logf != nil {
+			logf("conformance: FAIL %s\nminimized vector %s (%d lines):\n%s",
+				div, min.Key(), strings.Count(f.MinSource, "\n"), f.MinSource)
+		}
+		return digest, f
+	})
+	return &SynthReport{BaseSeed: base, Kernels: n, Failures: failures, Digests: digests}
 }

@@ -184,7 +184,7 @@ func (blockForever) CallBuiltin(p *Proc, name string, args []Value) (Value, bool
 	}
 	return Value{}, true, nil
 }
-func (blockForever) Tick(p *Proc) {}
+func (blockForever) Tick(p *Proc)   {}
 func (blockForever) OnExit(p *Proc) {}
 
 func contains(s, sub string) bool {

@@ -71,7 +71,7 @@ type Proc struct {
 	// core (stable across DVFS changes).
 	timer *sccsim.CoreTimer
 	// prof is the session's access profiler (nil when disabled), copied
-	// from Sim.Prof at Spawn so the accessor hot path avoids the Sim
+	// from Sim.Profiler at Spawn so the accessor hot path avoids the Sim
 	// indirection.
 	prof MemProfiler
 	// trace is the session's scheduling-event sink (nil when disabled),

@@ -62,22 +62,10 @@ type Sim struct {
 	Program *Program
 	Runtime Runtime
 	Policy  Policy
-	// Prof, when non-nil, observes every timed data-memory access of the
-	// session (see MemProfiler). Set before Spawn; profiling runs attach
-	// a profile.Collector here, everything else leaves it nil.
-	Prof MemProfiler
-	// Cancel, when non-nil, is polled at every scheduling decision (one
-	// call per context switch). A non-nil return aborts the session
-	// promptly with that error: in-flight contexts unwind, Run returns
-	// the error, and no further work is scheduled. The serving layer
-	// wires a request context's Err here so a wall-clock
-	// deadline or client disconnect stops a simulation mid-flight.
-	Cancel func() error
-	// Trace, when non-nil, observes every scheduling event of the
-	// session (see TraceSink). Set before Spawn; like Prof it is
-	// observation-only and excluded from cache fingerprints.
-	Trace TraceSink
-	Out   bytes.Buffer
+	// Hooks are the session's per-run control and observation seam. Set
+	// them before the first Spawn.
+	Hooks
+	Out bytes.Buffer
 
 	procs  []*Proc
 	nextID int
@@ -97,6 +85,29 @@ type Sim struct {
 	// Policy.Next call.
 	elected      *Proc
 	electedValid bool
+}
+
+// Hooks is the per-run seam of a session: cancellation and the two
+// observers. A zero Hooks runs the session uncontrolled and unobserved.
+// The observers never charge time or touch scheduling state, so
+// simulation output and cycle statistics are identical with or without
+// them; callers that fingerprint runtime options for cache identity
+// zero the whole value.
+type Hooks struct {
+	// Cancel, when non-nil, is polled at every scheduling decision (one
+	// call per context switch). A non-nil return aborts the session
+	// promptly with that error: in-flight contexts unwind, Run returns
+	// the error, and no further work is scheduled. The serving layer
+	// wires a request context's Err here so a wall-clock deadline or
+	// client disconnect stops a simulation mid-flight.
+	Cancel func() error
+	// Profiler, when non-nil, observes every timed data-memory access
+	// (see MemProfiler). Profiling runs attach a profile.Collector here.
+	Profiler MemProfiler
+	// Trace, when non-nil, observes every scheduling event (see
+	// TraceSink). A sink that also implements MachineBinder is bound to
+	// the session's machine at the first Spawn.
+	Trace TraceSink
 }
 
 // NewSim builds a session. The runtime must be attached by the caller
@@ -145,6 +156,11 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	if idx >= maxSlots {
 		return nil, fmt.Errorf("interp: core %d out of stack space (%d live contexts)", core, idx)
 	}
+	if s.nextID == 0 {
+		if b, ok := s.Trace.(MachineBinder); ok {
+			b.BindMachine(s.Machine)
+		}
+	}
 	p := &Proc{
 		Sim:      s,
 		ID:       s.nextID,
@@ -154,7 +170,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 		stackIdx: idx,
 		rootCF:   cf,
 		args:     args,
-		prof:     s.Prof,
+		prof:     s.Profiler,
 		trace:    s.Trace,
 	}
 	p.stackTop = sccsim.PrivateLimit - uint32(idx*StackBytes)

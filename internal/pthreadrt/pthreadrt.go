@@ -34,22 +34,10 @@ type Options struct {
 	//
 	// Deprecated: kept for source compatibility; nothing reads it.
 	Engine interp.Engine
-	// Profiler, when non-nil, observes every timed data access of the
-	// run (interp.Sim.Prof) — profiling a baseline uses the program's
-	// static global addresses to label ranges.
-	Profiler interp.MemProfiler
-	// Cancel, when non-nil, is polled at every scheduling decision
-	// (interp.Sim.Cancel): a non-nil return aborts the run promptly
-	// with that error. Callers fingerprinting Options for cache keys
-	// must exclude this field (it is per-request, not part of the run's
-	// semantic identity).
-	Cancel func() error
-	// Trace, when non-nil, observes every scheduling event of the run
-	// (interp.Sim.Trace): context spawns, run slices, blocks with
-	// reasons, unblocks. Observation-only — results are identical with
-	// or without it — and, like Cancel, excluded from cache
-	// fingerprints.
-	Trace interp.TraceSink
+	// Hooks are the run's cancel, profiler and trace seam, installed on
+	// the session as is. Profiling a baseline labels ranges with the
+	// program's static global addresses.
+	interp.Hooks
 }
 
 // DefaultOptions returns the calibrated baseline used by the experiment
@@ -347,10 +335,7 @@ func (r *Result) Seconds() float64 { return float64(r.Makespan) / sccsim.PsPerSe
 // bound to machine m.
 func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
-	sim.Prof = opts.Profiler
-	sim.Cancel = opts.Cancel
-	sim.Trace = opts.Trace
-	interp.BindTrace(opts.Trace, m)
+	sim.Hooks = opts.Hooks
 	rt := New(sim, opts)
 	main := pr.Funcs["main"]
 	if main == nil {

@@ -44,32 +44,19 @@ type Options struct {
 	// each barrier visit.
 	InitCycles    int
 	BarrierCycles int
-	// Profiler, when non-nil, is attached to the session as its memory
-	// profiler (interp.Sim.Prof): every timed data access is reported to
-	// it. Profiling runs of the `profiled` placement policy set this.
-	Profiler interp.MemProfiler
-	// AllocObserver, when non-nil, is told about each symmetric
-	// allocation the moment it is created (not on the replaying ranks),
-	// which lets a profiler label the allocator's address ranges with
-	// the shared variables they back.
-	AllocObserver AllocObserver
-	// Cancel, when non-nil, is polled at every scheduling decision
-	// (interp.Sim.Cancel): a non-nil return aborts the run promptly
-	// with that error. Callers fingerprinting Options for cache keys
-	// must exclude this field (it is per-request, not part of the run's
-	// semantic identity).
-	Cancel func() error
-	// Trace, when non-nil, observes every scheduling event of the run
-	// (interp.Sim.Trace): spawns, run slices, barrier/rendezvous blocks
-	// with reasons, test-and-set spin rounds. Observation-only —
-	// results are identical with or without it — and, like Cancel,
-	// excluded from cache fingerprints.
-	Trace interp.TraceSink
+	// Hooks are the run's cancel, profiler and trace seam, installed on
+	// the session as is. Profiling runs of the `profiled` placement
+	// policy attach a profiler; one that also implements AllocObserver
+	// labels the allocator's address ranges.
+	interp.Hooks
 }
 
-// AllocObserver observes symmetric allocations. seq is the allocation's
-// index within its region (off-chip shmalloc and on-chip mpbmalloc
-// count separately), matching the translator's emission order.
+// AllocObserver observes symmetric allocations. A Profiler that
+// implements it is told about each allocation the moment it is created
+// (not on the replaying ranks), which lets it label the allocator's
+// address ranges with the shared variables they back. seq is the
+// allocation's index within its region (off-chip shmalloc and on-chip
+// mpbmalloc count separately), matching the translator's emission order.
 type AllocObserver interface {
 	NoteAlloc(onChip bool, seq int, addr uint32, size int)
 }
@@ -117,6 +104,8 @@ type Runtime struct {
 	}
 	// sendrecv tracks two-sided messaging (sendrecv.go).
 	sendrecv *sendState
+	// allocObs is the session profiler's AllocObserver side, if any.
+	allocObs AllocObserver
 }
 
 // New attaches an RCCE runtime to sim. Scheduling uses the session's
@@ -150,6 +139,7 @@ func New(sim *interp.Sim, opts Options) (*Runtime, error) {
 		rankByProc: make(map[*interp.Proc]int),
 		rankByCore: make(map[int]int),
 	}
+	rt.allocObs, _ = sim.Profiler.(AllocObserver)
 	for r, c := range ues {
 		rt.rankByCore[c] = r
 	}
@@ -401,8 +391,8 @@ func (rt *Runtime) shmalloc(p *interp.Proc, size int) (uint32, error) {
 	}
 	rt.shared.cursor = addr + uint32(size)
 	rt.shared.allocs = append(rt.shared.allocs, allocation{addr, size})
-	if rt.opts.AllocObserver != nil {
-		rt.opts.AllocObserver.NoteAlloc(false, idx, addr, size)
+	if rt.allocObs != nil {
+		rt.allocObs.NoteAlloc(false, idx, addr, size)
 	}
 	return addr, nil
 }
@@ -427,8 +417,8 @@ func (rt *Runtime) mpbmalloc(p *interp.Proc, size int) (uint32, error) {
 	}
 	rt.mpb.cursor = addr + uint32(size)
 	rt.mpb.allocs = append(rt.mpb.allocs, allocation{addr, size})
-	if rt.opts.AllocObserver != nil {
-		rt.opts.AllocObserver.NoteAlloc(true, idx, addr, size)
+	if rt.allocObs != nil {
+		rt.allocObs.NoteAlloc(true, idx, addr, size)
 	}
 	if rt.opts.StripeMPB && len(rt.ues) > 1 {
 		chunk := (size + len(rt.ues) - 1) / len(rt.ues)
@@ -584,10 +574,7 @@ func EntryPoint(pr *interp.Program) *ast.FuncDecl {
 // rank at time zero (the SCC launcher starts all cores together).
 func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
-	sim.Prof = opts.Profiler
-	sim.Cancel = opts.Cancel
-	sim.Trace = opts.Trace
-	interp.BindTrace(opts.Trace, m)
+	sim.Hooks = opts.Hooks
 	rt, err := New(sim, opts)
 	if err != nil {
 		return nil, err

@@ -123,13 +123,13 @@ func (s *Server) config(ctx context.Context, c *simCall) bench.Config {
 	cfg.Threads = c.req.Cores
 	cfg.Scale = c.req.Scale
 	cfg.MPBCapacity = c.req.MPBBudget
-	cfg.Cancel = ctx.Err
-	cfg.Fault = s.fault
-	// The compute-stage span seam: fires only when a stage actually
-	// runs, so cache hits leave no compute span in the request tree.
-	// Like Cancel and Fault it is per-request state, never cache
-	// identity.
-	cfg.Span = spansFrom(ctx).start
+	cfg.Hooks = bench.Hooks{
+		Cancel: ctx.Err,
+		Fault:  s.fault,
+		// The compute-stage span seam: fires only when a stage actually
+		// runs, so cache hits leave no compute span in the request tree.
+		Span: spansFrom(ctx).start,
+	}
 	return cfg
 }
 

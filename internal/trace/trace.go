@@ -113,10 +113,10 @@ func (t *timeline) fold() {
 }
 
 // Recorder implements interp.TraceSink. Attach one to a session before
-// Spawn (interp.Sim.Trace, or the Trace field of pthreadrt/rcce
-// Options) and export after the run with WriteChrome, Export or
-// Summarize. A Recorder belongs to one session at a time and is not
-// safe for concurrent use — exactly like the session it observes.
+// Spawn (interp.Hooks.Trace, in a Sim or in pthreadrt/rcce Options) and
+// export after the run with WriteChrome, Export or Summarize. A
+// Recorder belongs to one session at a time and is not safe for
+// concurrent use — exactly like the session it observes.
 type Recorder struct {
 	m     *sccsim.Machine
 	ring  []Event
@@ -141,8 +141,8 @@ var _ interp.TraceSink = (*Recorder)(nil)
 
 // NewRecorder builds a recorder with a ring of capacity events (<= 0
 // uses DefaultCapacity). m may be nil when the machine does not exist
-// yet (the bench harness constructs it inside the run): the runtime Run
-// functions bind it via BindMachine when they attach the sink.
+// yet (the bench harness constructs it inside the run): the session
+// binds it via BindMachine at its first Spawn.
 func NewRecorder(m *sccsim.Machine, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -159,8 +159,8 @@ func NewRecorder(m *sccsim.Machine, capacity int) *Recorder {
 }
 
 // BindMachine points the recorder at the machine whose per-core
-// counters the slice deltas sample (interp.MachineBinder). The runtimes
-// call it right before the first spawn; rebinding mid-session is not
+// counters the slice deltas sample (interp.MachineBinder). interp.Sim
+// calls it right before the first spawn; rebinding mid-session is not
 // supported — one recorder observes one session.
 func (r *Recorder) BindMachine(m *sccsim.Machine) {
 	r.m = m
