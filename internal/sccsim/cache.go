@@ -7,15 +7,19 @@ package sccsim
 // to another core's writes (shared pages are uncacheable), so hit/miss
 // behaviour is independent of contents.
 //
-// Lines are stored as one flat ways-major array (set s occupies
-// lines[s*ways : (s+1)*ways]) and Access resolves hit and LRU victim in
-// a single pass — this sits directly on the simulator's per-access hot
-// path, so it is kept branch-lean and allocation-free.
+// Lines are stored ways-major in chunks of chunkSets sets (set s occupies
+// ways consecutive lines of chunk s/chunkSets), and Access resolves hit
+// and LRU victim in a single pass — this sits directly on the simulator's
+// per-access hot path, so it is kept branch-lean and allocation-free.
+//
+// A chunk is materialised the first time one of its sets is touched, and
+// the chunk table at the first access. A machine constructs one L1+L2
+// pair per core, but a run touches only the cores it schedules work on,
+// and those touch only the sets their working set maps to: the scc48 L2
+// is 32 chunks of 4 KB, of which a short simulation touches a few. A
+// cache with fewer sets than chunkSets is a single chunk.
 type Cache struct {
-	// lines is materialised on first access: a machine constructs one
-	// L1+L2 pair per core, but a run touches only the cores it schedules
-	// work on, so eager allocation would dominate short simulations.
-	lines     []cacheLine
+	chunks    [][]cacheLine
 	nlines    int
 	ways      int
 	lineBits  uint
@@ -38,6 +42,14 @@ type cacheLine struct {
 const (
 	lineValid = 1 << 0
 	lineDirty = 1 << 1
+)
+
+// chunkSets is the number of sets materialised together; chunkShift and
+// chunkMask split a set index into chunk and set-within-chunk.
+const (
+	chunkShift = 6
+	chunkSets  = 1 << chunkShift
+	chunkMask  = chunkSets - 1
 )
 
 // invalidTag marks an empty way. Real line addresses are addr>>lineBits
@@ -83,12 +95,16 @@ func log2(v int) uint {
 // the LRU way otherwise — the same choice the original scan made.
 func (c *Cache) Access(addr uint32, write bool) (hit, dirtyEvict bool) {
 	c.tick++
-	if c.lines == nil {
-		c.materialize()
-	}
 	lineAddr := addr >> c.lineBits
-	base := int(lineAddr&c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
+	s := int(lineAddr & c.setMask)
+	var chunk []cacheLine
+	if ci := s >> chunkShift; ci < len(c.chunks) && c.chunks[ci] != nil {
+		chunk = c.chunks[ci]
+	} else {
+		chunk = c.materialize(ci)
+	}
+	base := (s & chunkMask) * c.ways
+	set := chunk[base : base+c.ways]
 	for i := range set {
 		if set[i].tag == lineAddr {
 			ln := &set[i]
@@ -125,22 +141,34 @@ func (c *Cache) Access(addr uint32, write bool) (hit, dirtyEvict bool) {
 	return false, dirtyEvict
 }
 
-// materialize allocates the line array with every way marked empty.
-func (c *Cache) materialize() {
-	c.lines = make([]cacheLine, c.nlines)
-	for i := range c.lines {
-		c.lines[i].tag = invalidTag
+// materialize allocates chunk ci with every way marked empty, and the
+// chunk table first if need be. It is kept out of line so the hit path
+// of Access stays small.
+//
+//go:noinline
+func (c *Cache) materialize(ci int) []cacheLine {
+	nsets := int(c.setMask) + 1
+	if c.chunks == nil {
+		c.chunks = make([][]cacheLine, (nsets+chunkMask)>>chunkShift)
 	}
+	chunk := make([]cacheLine, min(nsets, chunkSets)*c.ways)
+	for i := range chunk {
+		chunk[i].tag = invalidTag
+	}
+	c.chunks[ci] = chunk
+	return chunk
 }
 
 // Contains reports whether addr's line is resident (no state change).
 func (c *Cache) Contains(addr uint32) bool {
-	if c.lines == nil {
+	lineAddr := addr >> c.lineBits
+	s := int(lineAddr & c.setMask)
+	ci := s >> chunkShift
+	if ci >= len(c.chunks) || c.chunks[ci] == nil {
 		return false
 	}
-	lineAddr := addr >> c.lineBits
-	base := int(lineAddr&c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
+	base := (s & chunkMask) * c.ways
+	set := c.chunks[ci][base : base+c.ways]
 	for i := range set {
 		if set[i].tag == lineAddr {
 			return true
@@ -153,11 +181,13 @@ func (c *Cache) Contains(addr uint32) bool {
 // written back. The pthread baseline uses this to model the cache
 // pollution of a context switch.
 func (c *Cache) Flush() (dirty int) {
-	for i := range c.lines {
-		if c.lines[i].flags&(lineValid|lineDirty) == lineValid|lineDirty {
-			dirty++
+	for _, chunk := range c.chunks {
+		for i := range chunk {
+			if chunk[i].flags&(lineValid|lineDirty) == lineValid|lineDirty {
+				dirty++
+			}
+			chunk[i] = cacheLine{tag: invalidTag}
 		}
-		c.lines[i] = cacheLine{tag: invalidTag}
 	}
 	return dirty
 }

@@ -5,12 +5,17 @@ import (
 	"sort"
 )
 
-// debugMC enables memory-controller wait tracing (calibration only).
-var debugMC = false
-
 // Machine is one simulated SCC chip: storage plus a timing model. It is
 // not safe for concurrent use; the interpreter's scheduler guarantees a
 // single execution context touches it at a time (DESIGN.md §8).
+//
+// Construction costs what a run uses, not what the chip has: the MPB is
+// a sparse PageMem, like DRAM, so its 4 KB pages materialise on first
+// touch, and each core's caches materialise their tag arrays in chunks
+// (see Cache). The sparse MPB keeps the edge behaviour of the flat
+// MPBTotal-byte array it replaces: an access that straddles MPBTotal is
+// truncated to the bytes inside it, and one that starts past MPBTotal
+// panics without materialising a page.
 type Machine struct {
 	cfg Config
 
@@ -35,7 +40,9 @@ type Machine struct {
 	cores  []*coreState
 	mcs    []*memController
 	shared *PageMem
-	mpb    []byte
+	mpb    *PageMem
+	// mpbSize is Config.MPBTotal, the bound every MPB access is clipped to.
+	mpbSize int
 	// mpbRanges records striped allocations so remote-vs-local MPB
 	// latency reflects data placement; addresses outside any range
 	// default to the section owner (addr / MPBStride).
@@ -151,7 +158,8 @@ func New(cfg Config) (*Machine, error) {
 		mpbStride:    cfg.MPBStride(),
 		mcPos:        computeMCPositions(&cfg),
 		shared:       NewPageMem(),
-		mpb:          make([]byte, cfg.MPBTotal()),
+		mpb:          NewPageMem(),
+		mpbSize:      cfg.MPBTotal(),
 		tas:          make([]bool, cfg.Cores),
 	}
 	m.computeMeshMap()
@@ -209,7 +217,7 @@ func (m *Machine) ComputeTime(core int, cycles int) Time {
 func (m *Machine) Load(core int, addr uint32, buf []byte, now Time) Time {
 	switch {
 	case addr >= MPBBase:
-		copy(buf, m.mpb[addr-MPBBase:])
+		m.mpbRead(addr-MPBBase, buf)
 	case addr >= SharedBase:
 		m.shared.Read(addr-SharedBase, buf)
 	default:
@@ -226,7 +234,7 @@ func (m *Machine) Load(core int, addr uint32, buf []byte, now Time) Time {
 func (m *Machine) Store(core int, addr uint32, data []byte, now Time) Time {
 	switch {
 	case addr >= MPBBase:
-		copy(m.mpb[addr-MPBBase:], data)
+		m.mpbWrite(addr-MPBBase, data)
 	case addr >= SharedBase:
 		m.shared.Write(addr-SharedBase, data)
 	default:
@@ -242,45 +250,56 @@ func (m *Machine) Store(core int, addr uint32, data []byte, now Time) Time {
 // ReadBytes copies memory without charging time (used by the runtime for
 // printf formatting and by tests).
 func (m *Machine) ReadBytes(core int, addr uint32, buf []byte) {
-	m.backing(core, addr).Read(addr-m.regionBase(addr), buf)
+	switch {
+	case addr >= MPBBase:
+		m.mpbRead(addr-MPBBase, buf)
+	case addr >= SharedBase:
+		m.shared.Read(addr-SharedBase, buf)
+	default:
+		m.cores[core].priv.Read(addr, buf)
+	}
 }
 
 // WriteBytes stores memory without charging time (program loading).
 func (m *Machine) WriteBytes(core int, addr uint32, data []byte) {
-	m.backing(core, addr).Write(addr-m.regionBase(addr), data)
-}
-
-// regionMem adapts the flat MPB array to the PageMem interface.
-type regionMem struct{ b []byte }
-
-func (r regionMem) Read(off uint32, buf []byte)   { copy(buf, r.b[off:]) }
-func (r regionMem) Write(off uint32, data []byte) { copy(r.b[off:], data) }
-
-type byteStore interface {
-	Read(addr uint32, buf []byte)
-	Write(addr uint32, data []byte)
-}
-
-func (m *Machine) backing(core int, addr uint32) byteStore {
 	switch {
 	case addr >= MPBBase:
-		return regionMem{m.mpb}
+		m.mpbWrite(addr-MPBBase, data)
 	case addr >= SharedBase:
-		return m.shared
+		m.shared.Write(addr-SharedBase, data)
 	default:
-		return m.cores[core].priv
+		m.cores[core].priv.Write(addr, data)
 	}
 }
 
-func (m *Machine) regionBase(addr uint32) uint32 {
-	switch {
-	case addr >= MPBBase:
-		return MPBBase
-	case addr >= SharedBase:
-		return SharedBase
-	default:
-		return 0
+// mpbRead and mpbWrite are the only paths into the MPB's backing store.
+// An access that reaches the end of the MPB goes through mpbClip, which
+// gives it the edge behaviour of a slice of a flat MPBTotal-byte array.
+func (m *Machine) mpbRead(off uint32, buf []byte) {
+	if int(off)+len(buf) >= m.mpbSize {
+		if buf = buf[:m.mpbClip(off, len(buf))]; len(buf) == 0 {
+			return
+		}
 	}
+	m.mpb.Read(off, buf)
+}
+
+func (m *Machine) mpbWrite(off uint32, data []byte) {
+	if int(off)+len(data) >= m.mpbSize {
+		if data = data[:m.mpbClip(off, len(data))]; len(data) == 0 {
+			return
+		}
+	}
+	m.mpb.Write(off, data)
+}
+
+// mpbClip returns how many of n bytes at MPB offset off lie inside the
+// MPB. It panics when off is past MPBTotal, before any page materialises.
+func (m *Machine) mpbClip(off uint32, n int) int {
+	if int(off) > m.mpbSize {
+		panic(fmt.Sprintf("sccsim: MPB offset %#x past MPBTotal %#x", off, m.mpbSize))
+	}
+	return min(n, m.mpbSize-int(off))
 }
 
 // ---------------------------------------------------------------------------
@@ -353,9 +372,6 @@ func (m *Machine) dramTime(core int, now Time) Time {
 	mc.freeAt = start + m.mcOccupy
 	mc.busy += m.mcOccupy
 	mc.requests++
-	if start-arrival > 1000000 && debugMC {
-		fmt.Printf("DBG core=%d now=%dns arrival=%dns start=%dns wait=%dns\n", core, now/1000, arrival/1000, start/1000, (start-arrival)/1000)
-	}
 	return wire + (start - arrival) + m.mcLatency
 }
 

@@ -25,6 +25,10 @@ const (
 // misses fall through to a dense two-level page table (directory of
 // leaf arrays) instead of the former map lookup. BenchmarkPageMemAccess
 // pins the difference.
+//
+// Both levels are fixed-size arrays of pointers, allocated on first
+// touch: the root directory costs 8 KB once per memory that is touched
+// at all, and each leaf another 8 KB per 4 MB region in use.
 type PageMem struct {
 	// Two-entry most-recent-page cache: interpreter traffic alternates
 	// between a data page (array/heap) and the stack page of the current
@@ -35,7 +39,7 @@ type PageMem struct {
 	prev    *[pageSize]byte
 	// dir is the root directory, allocated on first touch so that the
 	// untouched cores of a freshly built machine cost nothing.
-	dir     [][]*[pageSize]byte
+	dir     *[dirSize]*[dirSize]*[pageSize]byte
 	touched int
 }
 
@@ -59,11 +63,11 @@ func (p *PageMem) page(addr uint32) *[pageSize]byte {
 
 func (p *PageMem) pageSlow(key uint32) *[pageSize]byte {
 	if p.dir == nil {
-		p.dir = make([][]*[pageSize]byte, dirSize)
+		p.dir = new([dirSize]*[dirSize]*[pageSize]byte)
 	}
 	leaf := p.dir[key>>dirShift]
 	if leaf == nil {
-		leaf = make([]*[pageSize]byte, dirSize)
+		leaf = new([dirSize]*[pageSize]byte)
 		p.dir[key>>dirShift] = leaf
 	}
 	pg := leaf[key&leafMask]
